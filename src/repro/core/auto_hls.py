@@ -67,8 +67,9 @@ class AutoHLS:
         self.device = device
         self.clock_mhz = clock_mhz or device.default_clock_mhz
         self.coefficients = coefficients
-        # Lazily built; its group-statics caches survive fit_models refits
-        # because coefficients and clock are per-call inputs.
+        # Lazily attached to the process-wide group statics of the device;
+        # they survive fit_models refits because coefficients and the clock
+        # are per-call inputs.
         self._batch_estimator: Optional[BatchedDNNEstimator] = None
 
     # ----------------------------------------------------------- accelerator
@@ -90,12 +91,13 @@ class AutoHLS:
         return DNNPerformanceModel(accelerator, self.coefficients).estimate()
 
     def estimate_batch(self, configs: Sequence[DNNConfig]) -> list[PerformanceEstimate]:
-        """Vectorized :meth:`estimate` over many configs (bit-identical).
+        """Batched :meth:`estimate` over many configs (bit-identical).
 
-        ``EvaluationCache.evaluate_batch`` discovers this method through
-        :func:`repro.search.cache.resolve_batch_estimator` even when it was
-        handed the bound ``estimate`` method, so every generation-sized batch
-        in the search strategies takes the NumPy path automatically.
+        The evaluation caches discover this method through
+        :func:`repro.search.cache.resolve_batch_estimator` even when they
+        were handed the bound ``estimate`` method, so every cache miss of
+        the search strategies, a single SCD probe included, takes the
+        batched engine; :meth:`estimate` stays the scalar reference.
         """
         if self._batch_estimator is None:
             self._batch_estimator = BatchedDNNEstimator(self.device)

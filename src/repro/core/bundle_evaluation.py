@@ -98,7 +98,7 @@ class BundleEvaluator:
 
     Both evaluation passes score their whole bundle cross-product (bundle x
     parallel factor, or bundle x replication x activation) through the
-    vectorized :class:`repro.hw.batch.BatchedDNNEstimator` in one call;
+    batched :class:`repro.hw.batch.BatchedDNNEstimator` in one call;
     ``batched=False`` forces the scalar per-config path.  The two paths are
     bit-identical — the golden-equivalence suite asserts it — so the switch
     only changes speed.
@@ -171,13 +171,17 @@ class BundleEvaluator:
             return [self._estimate(config) for config in configs]
         if self._batch_estimator is None:
             self._batch_estimator = BatchedDNNEstimator(self.device)
+        # The accuracy pass needs every group's workload; building them
+        # first lets a cold statics build reuse them instead of rebuilding.
+        for config in configs:
+            self._batch_estimator.workload_for(config)
         estimates = self._batch_estimator.estimate_batch(
             configs, coefficients=self.coefficients, clock_mhz=self.clock_mhz
         )
         return [(est.latency_ms, est.resources) for est in estimates]
 
     def _cached_workload(self, config: DNNConfig) -> Optional[NetworkWorkload]:
-        """The batched estimator's workload for ``config``, if one exists.
+        """The batched estimator's workload for ``config`` (``None`` if scalar).
 
         Handed to :meth:`DNNConfig.features` so the accuracy pass does not
         rebuild a workload the latency pass already constructed.

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 from repro.core.bundle import Bundle
@@ -130,6 +131,60 @@ class DNNConfig:
     def with_updates(self, **kwargs) -> "DNNConfig":
         """Copy with selected fields replaced (used by the SCD moves)."""
         return replace(self, **kwargs)
+
+    # -------------------------------------------------------------- identity
+    # The two keys below are memoized in the instance ``__dict__`` (the config
+    # is frozen, so they never go stale).  Dataclass equality and hashing
+    # read the fields only, and ``__getstate__`` drops the memos, so neither
+    # comparisons nor pickled payloads see them.
+    @cached_property
+    def structure_key(self) -> tuple:
+        """Identity of the network structure, apart from its hardware.
+
+        Every field :meth:`to_workload` reads for the layers except the
+        parallel factor, which only configures the accelerator, and the
+        cosmetic ``name``.  Configs scored at several parallel factors share
+        one key, so the batched estimator builds their PF-independent
+        statics once (the architecture-vs-hardware split of the search
+        space).
+        """
+        return (
+            self.bundle.bundle_id,
+            tuple(self.bundle.layers),
+            self.task.input_shape,
+            self.num_repetitions,
+            self.channel_expansion,
+            self.downsample,
+            self.stem_channels,
+            self.activation,
+            self.weight_bits,
+            self.max_channels,
+        )
+
+    @cached_property
+    def cache_key(self) -> str:
+        """Evaluation-cache key: :meth:`describe` plus the exact Pi / X vectors.
+
+        ``describe()`` alone summarises the vectors as "maximum N channels"
+        and would alias distinct configurations.  The detection task is part
+        of the key (``describe()`` omits it): the input resolution changes
+        every latency, so configs from different tasks must never share a
+        slot, least of all in the persistent disk cache.
+        """
+        pi = ",".join(f"{factor:g}" for factor in self.channel_expansion)
+        x = ",".join(str(flag) for flag in self.downsample)
+        c, h, w = self.task.input_shape
+        return (
+            f"{self.describe()} | Pi=[{pi}] X=[{x}] stem={self.stem_channels} "
+            f"task={self.task.name}@{c}x{h}x{w}"
+        )
+
+    def __getstate__(self) -> dict:
+        """Pickle the fields only; the memoized keys are rebuilt on demand."""
+        state = dict(self.__dict__)
+        state.pop("structure_key", None)
+        state.pop("cache_key", None)
+        return state
 
     # ------------------------------------------------------------- structure
     def channel_schedule(self) -> list[int]:

@@ -222,9 +222,9 @@ class SCDUnit:
         """Score one iteration's unit-move probes, batched when possible.
 
         Delegates to ``batch_scorer`` when one was provided, else to the
-        shared cache's vectorized ``evaluate_batch``; both contracts
-        guarantee bit-identical results to the scalar path, which remains
-        the fallback (and the single-probe fast path).
+        shared cache's ``evaluate_batch``; both contracts guarantee
+        bit-identical results to the scalar path.  A single probe goes
+        through :meth:`_latency`, whose cache misses are batches of one.
         """
         if len(configs) > 1:
             if self.batch_scorer is not None:

@@ -98,6 +98,10 @@ class GPURooflineEngine:
         configs = list(configs)
         if not configs:
             return []
+        if len(configs) == 1:
+            # The cache layers send single misses here too; for one config
+            # the scalar model is the same arithmetic without the NumPy set-up.
+            return [self.estimate(configs[0])]
         model = self.latency_model
         rows: list[list[tuple[int, float]]] = []
         for config in configs:

@@ -1,43 +1,64 @@
-"""Vectorized batch evaluation of the analytical models (Eqs. 1-5).
+"""The FPGA estimation engine: batched, plain-float Eqs. 1-5.
 
 Every search, sweep and shard run bottoms out in per-candidate latency /
-resource estimation through :mod:`repro.hw.analytical`.  The scalar path
-rebuilds the workload, the Tile-Arch accelerator and the model objects for
-every single configuration; :class:`BatchedDNNEstimator` scores an *array*
-of configurations in one call instead:
+resource estimation.  The scalar reference path
+(:class:`repro.hw.analytical.DNNPerformanceModel`) rebuilds the workload,
+the Tile-Arch accelerator and the model objects for every configuration;
+:class:`BatchedDNNEstimator` splits the work in two:
 
-* configurations that differ only in their parallel factor share one set of
-  **group statics** (workload, tiling, IP instance order, per-layer MAC /
-  reuse counts, per-segment DMA transfer latencies) computed once and cached
-  across calls,
-* the parallel-factor-dependent arithmetic of Eqs. 1-5 runs as NumPy
-  elementwise operations over the whole batch at once.
+* **Group statics.**  Everything that does not depend on the parallel
+  factor (PF) — workload, tiling, IP instance order, per-layer MAC shares
+  and reuse counts, per-segment DMA latencies, per-instance resource
+  constants — is computed once per network structure
+  (:attr:`DNNConfig.structure_key`) and stored as compact ``array`` rows.
+* **The kernel.**  A plain-float loop scores each config from its group's
+  rows and its PF; coefficients and the clock are per-call inputs, so a
+  refit or a clock sweep never invalidates the statics.
 
-The contract is **bit-exactness**: ``estimate_batch(configs)[i]`` equals the
-scalar ``DNNPerformanceModel(...).estimate()`` for ``configs[i]`` to full
-float precision, so journals, checkpoints and Pareto selections are
-byte-identical whichever path scored them.  Three properties make this hold:
+**The store.**  Statics live in one process-wide store per ``(device, IP
+library)``, shared by every estimator (each ``CoDesignFlow``, sweep cell
+and worker thread) instead of being rebuilt per estimator.  The store is
+a least-recently-used map of at most :data:`_STORE_CAPACITY` groups, so a
+long-lived process (a shard worker, the job service) holds a bounded
+amount; a lock guards every lookup, insert and eviction, and builds run
+outside it (two threads may build the same group; the results are equal).
+A store holds rows only — never a ``NetworkWorkload`` (which
+:meth:`BatchedDNNEstimator.workload_for` keeps per estimator) nor NumPy
+arrays.  The IP library is part of the store key by content, so a custom
+library never reads statics built from another.
 
-* every elementwise float64 NumPy operation performs the same IEEE-754
-  operation as the corresponding Python float expression,
-* all accumulations are explicit Python loops of vectorized adds in the
-  scalar evaluation order (never ``np.sum``, whose pairwise summation
-  reassociates),
-* padded slots are engineered to contribute exactly ``+0.0``, and
-  ``x + 0.0 == x`` for every non-negative float ``x``.
+**Bit-exactness.**  ``estimate_batch(configs)[i]`` equals the scalar
+``DNNPerformanceModel(...).estimate()`` of ``configs[i]`` to the last bit,
+so journals, checkpoints and Pareto selections are byte-identical whichever
+path scored them.  The kernel performs the scalar path's IEEE-754
+operations on the same operands, in the same order:
 
-Integer inputs (MAC counts, tile counts, parallel factors) stay far below
-2**53, so their float64 conversions — implicit in both paths — are exact.
+* a layer's cycles are ``reuse * (share / (pf * lanes * eff) + depth)``,
+  where ``pf * lanes`` equals, exactly, the integer product
+  ``IPInstance.macs_per_cycle`` converts to float;
+* cycles, segment latencies and instance resources are accumulated from
+  ``0.0`` left to right in the scalar loop order (Eq. 4 segment order,
+  workload order within a segment, IP build order) — never reassociated;
+* the terms the kernel leaves out are exact ``+ 0.0`` additions of the
+  scalar path (the DSP of non-DSP instances and of the Eq. 1 glue term,
+  the LUT / FF / DSP of the BRAM-only buffer plan), and ``x + 0.0 == x``
+  for every non-negative ``x``;
+* the instance BRAM sum and each layer's tile share ``macs / reuse`` do
+  not depend on the PF, so they are computed once per group with the
+  scalar path's own operations;
+* integer inputs (MACs, tile counts, PFs) stay far below ``2**53``, so
+  their float conversions are exact in both paths.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import time
-from dataclasses import dataclass
+from array import array
+from collections import OrderedDict
+from itertools import islice
 from typing import TYPE_CHECKING, Optional, Sequence
-
-import numpy as np
 
 import repro.telemetry as telemetry
 from repro.hw.analytical import (
@@ -59,225 +80,210 @@ from repro.nn.quantization import QuantizationScheme
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.core.dnn_config import DNNConfig
 
+#: Group statics one store keeps before evicting the least recently used.
+#: A default ``codesign`` flow touches a few hundred groups per device, so
+#: this keeps several flows' working sets warm at a few MiB per store.
+_STORE_CAPACITY = 1024
 
-def _group_key(config: "DNNConfig") -> tuple:
-    """Identity of everything :meth:`DNNConfig.to_workload` depends on.
 
-    The parallel factor is deliberately absent — it only configures the
-    hardware, not the workload — so configs scored at several parallel
-    factors (the coarse-evaluation cross-product) share one group.  The
-    config ``name`` is cosmetic and also excluded.
-    """
-    return (
-        config.bundle.bundle_id,
-        tuple(config.bundle.layers),
-        config.task.input_shape,
-        config.num_repetitions,
-        config.channel_expansion,
-        config.downsample,
-        config.stem_channels,
-        config.activation,
-        config.weight_bits,
-        config.max_channels,
+class _GroupStatics:
+    """PF-independent rows of one network structure (one group)."""
+
+    __slots__ = (
+        "layers", "seg_counts", "seg_transfer_ms", "lat_dm_ms",
+        "instances", "inst_bram", "num_instances", "width_factor", "buffer_args",
     )
 
-
-@dataclass
-class _GroupStatics:
-    """Parallel-factor-independent precomputation for one workload group."""
-
-    workload: NetworkWorkload
-    tile: TileConfig
-    num_segments: int
-    # Per-layer arrays in segment-major order (segments in Eq. 4 group
-    # order, layers in workload order within each segment).
-    layer_macs: np.ndarray        # int64
-    layer_reuse: np.ndarray       # int64, tiles per layer (>= 1)
-    layer_mpd: np.ndarray         # int64, MACs/DSP (1 for non-DSP lanes)
-    layer_eff: np.ndarray         # float64, sustained lane efficiency
-    layer_depth: np.ndarray       # float64, pipeline fill cycles
-    layer_seg: np.ndarray         # int32, segment index of each layer
-    # Per-segment DMA transfer latency (beta term input of Eq. 2).
-    seg_transfer_ms: np.ndarray   # float64, (num_segments,)
-    lat_dm_ms: float              # Lat_DM of Eq. 4
-    # Per-IP-instance statics in build order (Eq. 1 inputs).
-    inst_base_lut: np.ndarray     # float64
-    inst_per_lut: np.ndarray      # float64
-    inst_base_ff: np.ndarray      # float64
-    inst_per_ff: np.ndarray       # float64
-    inst_mpd: np.ndarray          # int64 (1 for non-DSP instances)
-    inst_uses_dsp: np.ndarray     # float64 mask (1.0 / 0.0)
-    inst_bram: np.ndarray         # float64, PF-independent BRAM
-    num_instances: int
-    width_factor: float           # 0.6 + 0.4 * max(wb, fb) / 16
-    # Aggregates feeding the buffer plan (PF enters via weight_group only).
-    max_kernel: int
-    max_in: int
-    max_out: int
-    buffer_bram: dict[int, float] = None  # weight_group -> total BRAM
+    def __init__(self, layers, seg_counts, seg_transfer_ms, lat_dm_ms, instances,
+                 inst_bram, num_instances, width_factor, buffer_args) -> None:
+        #: Per layer, segment-major: share, reuse, lanes per PF, eff, depth.
+        self.layers: array = layers
+        self.seg_counts: tuple = seg_counts
+        self.seg_transfer_ms: array = seg_transfer_ms
+        self.lat_dm_ms: float = lat_dm_ms
+        #: Per IP instance, build order: base LUT, LUT/lane, base FF, FF/lane,
+        #: MACs per DSP (0.0 for an instance without DSPs).
+        self.instances: array = instances
+        self.inst_bram: float = inst_bram
+        self.num_instances: int = num_instances
+        self.width_factor: float = width_factor
+        #: Positional arguments of plan_on_chip_buffers, bar the weight group.
+        self.buffer_args: tuple = buffer_args
 
     def buffer_bram_for(self, parallel_factor: int) -> float:
-        """Total on-chip buffer BRAM for one parallel factor (memoized)."""
+        """On-chip buffer BRAM at one PF (it sets the weight group)."""
         weight_group = max(int(math.sqrt(parallel_factor)), 4)
-        cached = self.buffer_bram.get(weight_group)
-        if cached is None:
-            workload = self.workload
-            plan = plan_on_chip_buffers(
-                self.tile.tile_height,
-                self.tile.tile_width,
-                workload.max_channels,
-                workload.feature_bits,
-                workload.weight_bits,
-                self.max_kernel,
-                self.max_in,
-                self.max_out,
-                weight_group=weight_group,
+        return plan_on_chip_buffers(*self.buffer_args, weight_group=weight_group).total_bram
+
+
+class _StaticsStore:
+    """Bounded LRU of group statics for one ``(device, IP library)``."""
+
+    def __init__(self, device: FPGADevice, library: IPLibrary) -> None:
+        self.device = device
+        self.library = library
+        self.dram = DRAMTrafficModel(device)
+        self._entries: OrderedDict[tuple, _GroupStatics] = OrderedDict()
+        # Tile choices keyed by the workload aggregates choose_tile_config
+        # reads; a handful of distinct keys per device, so left unbounded.
+        self._tiles: dict[tuple, TileConfig] = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: tuple) -> Optional[_GroupStatics]:
+        with self._lock:
+            statics = self._entries.get(key)
+            if statics is not None:
+                self._entries.move_to_end(key)
+            return statics
+
+    def put(self, key: tuple, statics: _GroupStatics) -> None:
+        with self._lock:
+            self._entries[key] = statics
+            self._entries.move_to_end(key)
+            while len(self._entries) > _STORE_CAPACITY:
+                self._entries.popitem(last=False)
+
+    def _tile_for(self, workload: NetworkWorkload, key: tuple) -> TileConfig:
+        """Memoized :func:`choose_tile_config`; ``key`` holds all it reads."""
+        with self._lock:
+            tile = self._tiles.get(key)
+        if tile is None:
+            tile = choose_tile_config(workload, self.device)
+            with self._lock:
+                self._tiles[key] = tile
+        return tile
+
+    def build(self, workload: NetworkWorkload) -> _GroupStatics:
+        """The PF-independent rows of one workload on this store's device."""
+        feature_bits, weight_bits = workload.feature_bits, workload.weight_bits
+        max_channels = workload.max_channels
+        compute = [l for l in workload.layers if l.is_compute]
+        max_kernel = max((l.kernel for l in compute), default=3)
+        max_in = max((l.in_channels for l in compute), default=max_channels)
+        max_out = max((l.out_channels for l in compute), default=max_channels)
+        # What plan_on_chip_buffers reads besides the tile (and so, with the
+        # input shape, everything choose_tile_config reads).
+        aggregates = (max_channels, feature_bits, weight_bits, max_kernel, max_in, max_out)
+        tile = self._tile_for(workload, (workload.input_shape, *aggregates))
+        quantization = QuantizationScheme(
+            f"w{weight_bits}a{feature_bits}", weight_bits, feature_bits
+        )
+        # The PF of this placeholder hardware is irrelevant: only the
+        # instance order, template parameters and BRAM sizing are read.
+        bundle_hw = build_bundle_hardware(
+            workload, IPConfig(parallel_factor=1, quantization=quantization), self.library
+        )
+        macs_per_dsp = float(quantization.macs_per_dsp)
+        # instance_for depends on the layer kind and kernel only.
+        rows_of: dict[tuple, tuple] = {}
+
+        layers: list[float] = []
+        seg_counts = []
+        transfer_bytes: list[float] = []
+        for segment in bundle_layer_groups(workload):
+            params = 0
+            for layer in segment:
+                shape = (layer.kind, layer.kernel)
+                template_rows = rows_of.get(shape)
+                if template_rows is None:
+                    template = bundle_hw.instance_for(layer).template
+                    template_rows = rows_of[shape] = (
+                        macs_per_dsp if template.uses_dsp else 1.0,
+                        template.efficiency,
+                        template.pipeline_depth,
+                    )
+                reuse = tile.num_tiles(layer.out_height, layer.out_width)
+                layers += (layer.macs / reuse, reuse, *template_rows)
+                params += layer.params
+            seg_counts.append(len(segment))
+            input_bytes = segment[0].input_elements * feature_bits / 8.0
+            output_bytes = segment[-1].output_elements * feature_bits / 8.0
+            transfer_bytes.append(input_bytes + output_bytes + params * weight_bits / 8.0)
+
+        instances: list[float] = []
+        inst_bram = 0.0
+        for instance in bundle_hw.instances:
+            template = instance.template
+            instances += (
+                template.base_lut,
+                template.lut_per_lane,
+                template.base_ff,
+                template.ff_per_lane,
+                macs_per_dsp if template.uses_dsp else 0.0,
             )
-            cached = plan.total_bram
-            self.buffer_bram[weight_group] = cached
-        return cached
+            inst_bram += (
+                instance.weight_buffer_bram(max_in, max_out)
+                + instance.line_buffer_bram(tile.tile_width, max_in)
+            )
+        width_scale = max(weight_bits, feature_bits) / 16.0
+
+        return _GroupStatics(
+            layers=array("d", layers),
+            seg_counts=tuple(seg_counts),
+            seg_transfer_ms=array("d", self.dram.transfer_latency_ms_many(
+                transfer_bytes, [max(count, 1) for count in seg_counts]
+            )),
+            lat_dm_ms=(
+                self.dram.inter_bundle_latency_ms(workload)
+                + self.dram.input_output_latency_ms(workload)
+            ),
+            instances=array("d", instances),
+            inst_bram=inst_bram,
+            num_instances=len(bundle_hw.instances),
+            width_factor=0.6 + 0.4 * width_scale,
+            buffer_args=(tile.tile_height, tile.tile_width, *aggregates),
+        )
+
+
+_STORES: dict[tuple, _StaticsStore] = {}
+_STORES_LOCK = threading.Lock()
+
+
+def _store_for(device: FPGADevice, library: Optional[IPLibrary]) -> _StaticsStore:
+    """The process-wide statics store of ``device`` under ``library``."""
+    library = default_ip_library() if library is None else library
+    key = (device, tuple(library.templates.items()))
+    with _STORES_LOCK:
+        store = _STORES.get(key)
+        if store is None:
+            store = _STORES[key] = _StaticsStore(device, library)
+        return store
 
 
 class BatchedDNNEstimator:
-    """Array-at-a-time analytical estimator for one target device.
+    """Config-at-a-time analytical estimator for one target device.
 
-    One instance caches group statics and tile choices across calls, so the
-    object should live as long as its device does (the coefficients and the
-    clock are per-call inputs precisely so a refit or clock sweep does not
-    invalidate the caches).
+    Cheap to create: the group statics live in the shared store of its
+    ``(device, library)``.  Coefficients and the clock are per-call inputs.
     """
 
     def __init__(self, device: FPGADevice, library: Optional[IPLibrary] = None) -> None:
         self.device = device
-        self._library = library or default_ip_library()
-        self._dram = DRAMTrafficModel(device)
-        self._groups: dict[tuple, _GroupStatics] = {}
-        self._tiles: dict[tuple, TileConfig] = {}
+        self._store = _store_for(device, library)
+        self._workloads: dict[tuple, NetworkWorkload] = {}
 
-    # ------------------------------------------------------------ group statics
     def workload_for(self, config: "DNNConfig") -> NetworkWorkload:
-        """The (cached) workload of ``config``; builds group statics if needed."""
-        return self._statics_for(config).workload
-
-    def _tile_for(self, workload: NetworkWorkload) -> TileConfig:
-        """Memoized :func:`choose_tile_config` (it only reads aggregates)."""
-        compute = [l for l in workload.layers if l.is_compute]
-        key = (
-            workload.input_shape,
-            workload.max_channels,
-            max((l.kernel for l in compute), default=3),
-            max((l.in_channels for l in compute), default=workload.max_channels),
-            max((l.out_channels for l in compute), default=workload.max_channels),
-            workload.feature_bits,
-            workload.weight_bits,
-        )
-        tile = self._tiles.get(key)
-        if tile is None:
-            tile = choose_tile_config(workload, self.device)
-            self._tiles[key] = tile
-        return tile
+        """The workload of ``config``, built once per group by this estimator."""
+        key = config.structure_key
+        workload = self._workloads.get(key)
+        if workload is None:
+            workload = self._workloads[key] = config.to_workload()
+        return workload
 
     def _statics_for(self, config: "DNNConfig") -> _GroupStatics:
-        key = _group_key(config)
-        statics = self._groups.get(key)
+        key = config.structure_key
+        statics = self._store.get(key)
         if statics is None:
-            statics = self._build_statics(config)
-            self._groups[key] = statics
+            workload = self._workloads.get(key)
+            if workload is None:
+                workload = config.to_workload()
+            statics = self._store.build(workload)
+            self._store.put(key, statics)
         return statics
 
-    def _build_statics(self, config: "DNNConfig") -> _GroupStatics:
-        workload = config.to_workload()
-        tile = self._tile_for(workload)
-        quantization = QuantizationScheme(
-            f"w{workload.weight_bits}a{workload.feature_bits}",
-            workload.weight_bits,
-            workload.feature_bits,
-        )
-        # The parallel factor of this placeholder hardware is irrelevant:
-        # only PF-independent pieces (instance order, template parameters,
-        # BRAM sizing) are read from it.
-        bundle_hw = build_bundle_hardware(
-            workload, IPConfig(parallel_factor=1, quantization=quantization),
-            self._library,
-        )
-
-        groups = bundle_layer_groups(workload)
-        macs, reuse, mpd, eff, depth, seg = [], [], [], [], [], []
-        transfer_bytes: list[float] = []
-        transfer_bursts: list[int] = []
-        feature_bits = workload.feature_bits
-        for seg_id, layers in enumerate(groups):
-            for layer in layers:
-                template = bundle_hw.instance_for(layer).template
-                macs.append(layer.macs)
-                reuse.append(tile.num_tiles(layer.out_height, layer.out_width))
-                mpd.append(quantization.macs_per_dsp if template.uses_dsp else 1)
-                eff.append(template.efficiency)
-                depth.append(float(template.pipeline_depth))
-                seg.append(seg_id)
-            if layers:
-                input_bytes = layers[0].input_elements * feature_bits / 8.0
-                output_bytes = layers[-1].output_elements * feature_bits / 8.0
-                weight_bytes = sum(l.params for l in layers) * workload.weight_bits / 8.0
-                transfer_bytes.append(input_bytes + output_bytes + weight_bytes)
-            else:  # pragma: no cover - groups are non-empty by construction
-                transfer_bytes.append(0.0)
-            transfer_bursts.append(max(len(layers), 1))
-        seg_transfer = self._dram.transfer_latency_ms_many(transfer_bytes, transfer_bursts)
-
-        lat_dm = (
-            self._dram.inter_bundle_latency_ms(workload)
-            + self._dram.input_output_latency_ms(workload)
-        )
-
-        compute = [l for l in workload.layers if l.is_compute]
-        max_kernel = max((l.kernel for l in compute), default=3)
-        max_in = max((l.in_channels for l in compute), default=workload.max_channels)
-        max_out = max((l.out_channels for l in compute), default=workload.max_channels)
-        base_lut, per_lut, base_ff, per_ff = [], [], [], []
-        inst_mpd, uses_dsp, inst_bram = [], [], []
-        for instance in bundle_hw.instances:
-            template = instance.template
-            base_lut.append(template.base_lut)
-            per_lut.append(template.lut_per_lane)
-            base_ff.append(template.base_ff)
-            per_ff.append(template.ff_per_lane)
-            inst_mpd.append(quantization.macs_per_dsp if template.uses_dsp else 1)
-            uses_dsp.append(1.0 if template.uses_dsp else 0.0)
-            inst_bram.append(
-                instance.weight_buffer_bram(max_in, max_out)
-                + instance.line_buffer_bram(tile.tile_width, max_in)
-            )
-        width_scale = max(quantization.weight_bits, quantization.feature_bits) / 16.0
-
-        return _GroupStatics(
-            workload=workload,
-            tile=tile,
-            num_segments=len(groups),
-            layer_macs=np.asarray(macs, dtype=np.int64),
-            layer_reuse=np.asarray(reuse, dtype=np.int64),
-            layer_mpd=np.asarray(mpd, dtype=np.int64),
-            layer_eff=np.asarray(eff, dtype=np.float64),
-            layer_depth=np.asarray(depth, dtype=np.float64),
-            layer_seg=np.asarray(seg, dtype=np.int32),
-            seg_transfer_ms=np.asarray(seg_transfer, dtype=np.float64),
-            lat_dm_ms=lat_dm,
-            inst_base_lut=np.asarray(base_lut, dtype=np.float64),
-            inst_per_lut=np.asarray(per_lut, dtype=np.float64),
-            inst_base_ff=np.asarray(base_ff, dtype=np.float64),
-            inst_per_ff=np.asarray(per_ff, dtype=np.float64),
-            inst_mpd=np.asarray(inst_mpd, dtype=np.int64),
-            inst_uses_dsp=np.asarray(uses_dsp, dtype=np.float64),
-            inst_bram=np.asarray(inst_bram, dtype=np.float64),
-            num_instances=len(bundle_hw.instances),
-            width_factor=0.6 + 0.4 * width_scale,
-            max_kernel=max_kernel,
-            max_in=max_in,
-            max_out=max_out,
-            buffer_bram={},
-        )
-
-    # -------------------------------------------------------------- evaluation
     def estimate_batch(
         self,
         configs: Sequence["DNNConfig"],
@@ -301,139 +307,60 @@ class BatchedDNNEstimator:
         coefficients: AnalyticalModelCoefficients,
         clock_mhz: Optional[float],
     ) -> list[PerformanceEstimate]:
-        if not configs:
-            return []
         clock = clock_mhz if clock_mhz is not None else self.device.default_clock_mhz
-        coeff = coefficients
-        count = len(configs)
-
-        statics = [self._statics_for(config) for config in configs]
-        # Rows of each distinct group are filled together (one slice
-        # assignment per array per group, not per config).
-        rows_by_group: dict[int, list[int]] = {}
-        group_of: dict[int, _GroupStatics] = {}
-        for index, stat in enumerate(statics):
-            rows_by_group.setdefault(id(stat), []).append(index)
-            group_of[id(stat)] = stat
-
-        max_layers = max(stat.layer_macs.shape[0] for stat in statics)
-        max_segments = max(stat.num_segments for stat in statics)
-
-        # Padded per-layer matrices.  Pad values are chosen so a padded slot
-        # contributes exactly +0.0 cycles: macs=0, reuse=1, mpd=1, eff=1,
-        # depth=0  =>  contrib = 1 * (0/pf + 0) = 0.0.
-        macs = np.zeros((count, max_layers), dtype=np.int64)
-        reuse = np.ones((count, max_layers), dtype=np.int64)
-        mpd = np.ones((count, max_layers), dtype=np.int64)
-        eff = np.ones((count, max_layers), dtype=np.float64)
-        depth = np.zeros((count, max_layers), dtype=np.float64)
-        # Padded layers accumulate into a dummy trailing segment column.
-        seg = np.full((count, max_layers), max_segments, dtype=np.int64)
-        transfer = np.zeros((count, max_segments), dtype=np.float64)
-        lat_dm = np.zeros(count, dtype=np.float64)
-        n_inst = np.zeros(count, dtype=np.int64)
-        fact = np.zeros(count, dtype=np.float64)
-        buf_bram = np.zeros(count, dtype=np.float64)
-
-        max_instances = max(stat.num_instances for stat in statics)
-        # Padded instances contribute 0.0: base=0, per=0, uses_dsp=0, bram=0.
-        inst_base_lut = np.zeros((count, max_instances), dtype=np.float64)
-        inst_per_lut = np.zeros((count, max_instances), dtype=np.float64)
-        inst_base_ff = np.zeros((count, max_instances), dtype=np.float64)
-        inst_per_ff = np.zeros((count, max_instances), dtype=np.float64)
-        inst_mpd = np.ones((count, max_instances), dtype=np.int64)
-        inst_uses = np.zeros((count, max_instances), dtype=np.float64)
-        inst_bram = np.zeros((count, max_instances), dtype=np.float64)
-
-        pf = np.asarray([config.parallel_factor for config in configs], dtype=np.int64)
-        for group_id, rows in rows_by_group.items():
-            stat = group_of[group_id]
-            idx = np.asarray(rows, dtype=np.intp)
-            n_layers = stat.layer_macs.shape[0]
-            macs[idx, :n_layers] = stat.layer_macs
-            reuse[idx, :n_layers] = stat.layer_reuse
-            mpd[idx, :n_layers] = stat.layer_mpd
-            eff[idx, :n_layers] = stat.layer_eff
-            depth[idx, :n_layers] = stat.layer_depth
-            seg[idx, :n_layers] = stat.layer_seg
-            transfer[idx, : stat.num_segments] = stat.seg_transfer_ms
-            lat_dm[idx] = stat.lat_dm_ms
-            n_inst[idx] = stat.num_instances
-            fact[idx] = stat.width_factor
-            n_instances = stat.num_instances
-            inst_base_lut[idx, :n_instances] = stat.inst_base_lut
-            inst_per_lut[idx, :n_instances] = stat.inst_per_lut
-            inst_base_ff[idx, :n_instances] = stat.inst_base_ff
-            inst_per_ff[idx, :n_instances] = stat.inst_per_ff
-            inst_mpd[idx, :n_instances] = stat.inst_mpd
-            inst_uses[idx, :n_instances] = stat.inst_uses_dsp
-            inst_bram[idx, :n_instances] = stat.inst_bram
-        for index, (config, stat) in enumerate(zip(configs, statics)):
-            buf_bram[index] = stat.buffer_bram_for(config.parallel_factor)
-
-        # ---- Eqs. 2-3: per-segment compute cycles, accumulated in layer order.
-        cycles = np.zeros((count, max_segments + 1), dtype=np.float64)
-        row_index = np.arange(count)
-        for layer in range(max_layers):
-            # Mirrors IPInstance.cycles_for_layer_share + Eq. 3 exactly:
-            # share = macs / reuse; mpc = float(pf * mpd) * eff;
-            # tile_cycles = share / mpc + depth; contrib = reuse * tile_cycles.
-            share = macs[:, layer] / reuse[:, layer]
-            mpc = (pf * mpd[:, layer]) * eff[:, layer]
-            tile_cycles = share / mpc + depth[:, layer]
-            # Rows are unique within one fancy-indexed +=, so no contribution
-            # is lost to NumPy's buffered duplicate-index semantics.
-            cycles[row_index, seg[:, layer]] += reuse[:, layer] * tile_cycles
-
-        # ---- Eqs. 2 & 4: segment latencies accumulated in segment order.
         denom = clock * 1e3
-        total_latency = np.zeros(count, dtype=np.float64)
-        compute_ms = np.zeros(count, dtype=np.float64)
-        transfer_ms = np.zeros(count, dtype=np.float64)
-        for segment in range(max_segments):
-            seg_compute = coeff.alpha * (cycles[:, segment] / denom)
-            seg_transfer = coeff.beta * transfer[:, segment]
-            total_latency += seg_compute + seg_transfer
-            compute_ms += seg_compute
-            transfer_ms += seg_transfer
-        phi_dm = coeff.phi * lat_dm
-        total_latency += phi_dm
-        transfer_ms += phi_dm
+        alpha, beta, phi = coefficients.alpha, coefficients.beta, coefficients.phi
+        gamma_lut, gamma_ff = coefficients.gamma_lut, coefficients.gamma_ff
+        gamma_bram = coefficients.gamma_bram
+        ctl = CONTROL_OVERHEAD.scale(coefficients.ctl_gamma)
+        results = []
+        for config in configs:
+            statics = self._statics_for(config)
+            pf = config.parallel_factor
 
-        # ---- Eqs. 1 & 5: resources accumulated in instance order.
-        lut = np.zeros(count, dtype=np.float64)
-        ff = np.zeros(count, dtype=np.float64)
-        dsp = np.zeros(count, dtype=np.float64)
-        bram = np.zeros(count, dtype=np.float64)
-        for inst in range(max_instances):
-            lut += inst_base_lut[:, inst] + inst_per_lut[:, inst] * pf * fact
-            ff += inst_base_ff[:, inst] + inst_per_ff[:, inst] * pf * fact
-            dsp += np.ceil(pf / inst_mpd[:, inst]) * inst_uses[:, inst]
-            bram += inst_bram[:, inst]
-        lut += coeff.gamma_lut * n_inst
-        ff += coeff.gamma_ff * n_inst
-        bram += coeff.gamma_bram
-        bram += buf_bram
-        ctl = CONTROL_OVERHEAD.scale(coeff.ctl_gamma)
-        lut += ctl.lut
-        ff += ctl.ff
-        dsp += ctl.dsp
-        bram += ctl.bram
+            # Eqs. 2-4: per-segment compute cycles (Eq. 3), then segment
+            # latencies and the data-movement term, in the scalar order.
+            rows = iter(statics.layers)
+            layer_rows = zip(rows, rows, rows, rows, rows)
+            latency = compute_ms = transfer_ms = 0.0
+            for count, transfer in zip(statics.seg_counts, statics.seg_transfer_ms):
+                cycles = 0.0
+                for share, reuse, lanes, eff, depth in islice(layer_rows, count):
+                    cycles += reuse * (share / (pf * lanes * eff) + depth)
+                seg_compute = alpha * (cycles / denom)
+                seg_transfer = beta * transfer
+                latency += seg_compute + seg_transfer
+                compute_ms += seg_compute
+                transfer_ms += seg_transfer
+            phi_dm = phi * statics.lat_dm_ms
+            latency += phi_dm
+            transfer_ms += phi_dm
 
-        return [
-            PerformanceEstimate(
-                latency_ms=float(total_latency[index]),
+            # Eqs. 1 & 5: instance resources in build order, then the glue,
+            # buffer and control terms.
+            rows = iter(statics.instances)
+            factor = statics.width_factor
+            lut = ff = dsp = 0.0
+            for base_lut, per_lut, base_ff, per_ff, dsp_macs in zip(rows, rows, rows, rows, rows):
+                lut += base_lut + per_lut * pf * factor
+                ff += base_ff + per_ff * pf * factor
+                if dsp_macs:
+                    dsp += math.ceil(pf / dsp_macs)
+            results.append(PerformanceEstimate(
+                latency_ms=latency,
                 resources=ResourceVector(
-                    lut=float(lut[index]),
-                    ff=float(ff[index]),
-                    dsp=float(dsp[index]),
-                    bram=float(bram[index]),
+                    lut=lut + gamma_lut * statics.num_instances + ctl.lut,
+                    ff=ff + gamma_ff * statics.num_instances + ctl.ff,
+                    dsp=dsp + ctl.dsp,
+                    bram=(
+                        statics.inst_bram + gamma_bram
+                        + statics.buffer_bram_for(pf) + ctl.bram
+                    ),
                 ),
-                compute_ms=float(compute_ms[index]),
-                data_movement_ms=float(transfer_ms[index]),
-            )
-            for index in range(count)
-        ]
+                compute_ms=compute_ms,
+                data_movement_ms=transfer_ms,
+            ))
+        return results
 
 
 def estimate_batch(
@@ -442,10 +369,10 @@ def estimate_batch(
     coefficients: AnalyticalModelCoefficients = DEFAULT_COEFFICIENTS,
     clock_mhz: Optional[float] = None,
 ) -> list[PerformanceEstimate]:
-    """One-shot batched estimation (a throwaway :class:`BatchedDNNEstimator`).
+    """One-shot batched estimation on ``device`` with the default IP library.
 
-    Long-lived callers (evaluators, Auto-HLS, sweeps) should hold their own
-    :class:`BatchedDNNEstimator` so group statics amortise across calls.
+    Shares the process-wide group statics with every other estimator of the
+    same device, so repeated calls stay warm.
     """
     return BatchedDNNEstimator(device).estimate_batch(
         configs, coefficients=coefficients, clock_mhz=clock_mhz

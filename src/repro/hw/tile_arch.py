@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.hw.device import FPGADevice
-from repro.hw.ip import IPConfig, IPInstance
+from repro.hw.ip import IPConfig, IPInstance, IPTemplate
 from repro.hw.ip_library import IPLibrary, default_ip_library
 from repro.hw.memory import OnChipBufferPlan, plan_on_chip_buffers
 from repro.hw.resource import ResourceVector
@@ -84,8 +84,13 @@ def build_bundle_hardware(
     instances: list[IPInstance] = []
     seen: set[str] = set()
     signature_parts: list[str] = []
+    # Template support depends on the layer kind and kernel only.
+    by_shape: dict[tuple[str, int], IPTemplate] = {}
     for layer in workload.layers:
-        template = library.template_for_layer(layer)
+        shape = (layer.kind, layer.kernel)
+        template = by_shape.get(shape)
+        if template is None:
+            template = by_shape[shape] = library.template_for_layer(layer)
         if template.name in seen:
             continue
         seen.add(template.name)

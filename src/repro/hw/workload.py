@@ -59,13 +59,17 @@ class LayerWorkload:
             raise ValueError("Channel counts and spatial dimensions must be positive")
 
     # ------------------------------------------------------------ geometry
+    # The geometry properties sit on the estimators' hot path, so they use a
+    # conditional instead of ``max(..., 1)`` (same integers, no call).
     @property
     def out_height(self) -> int:
-        return max(self.in_height // self.stride, 1)
+        height = self.in_height // self.stride
+        return height if height > 1 else 1
 
     @property
     def out_width(self) -> int:
-        return max(self.in_width // self.stride, 1)
+        width = self.in_width // self.stride
+        return width if width > 1 else 1
 
     @property
     def output_shape(self) -> tuple[int, int, int]:

@@ -34,18 +34,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 def config_cache_key(config: "DNNConfig") -> str:
     """Structural cache key: ``describe()`` plus the exact Pi / X vectors.
 
-    The detection task is part of the key (``describe()`` omits it): the
-    input resolution changes every latency, so configs from different tasks
-    must never share a slot — especially in the persistent disk cache, which
-    outlives a single search.
+    The format is :attr:`DNNConfig.cache_key`, memoized on the config
+    instance: the search loop asks for the same config's key several times
+    (cache lookup, journal record, SCD bookkeeping).
     """
-    pi = ",".join(f"{factor:g}" for factor in config.channel_expansion)
-    x = ",".join(str(flag) for flag in config.downsample)
-    c, h, w = config.task.input_shape
-    return (
-        f"{config.describe()} | Pi=[{pi}] X=[{x}] stem={config.stem_channels} "
-        f"task={config.task.name}@{c}x{h}x{w}"
-    )
+    return config.cache_key
 
 
 def resolve_batch_estimator(
@@ -138,7 +131,7 @@ class EvaluationCache:
                 return cached, True
         # Estimate outside the lock; a concurrent duplicate computation is
         # harmless because the estimator is deterministic.
-        value = self.estimator(config)
+        [value] = self._estimate_misses([config])
         with self._lock:
             self._store[key] = value
             self._misses += 1
@@ -189,16 +182,7 @@ class EvaluationCache:
                 reg.counter("search.cache.misses").inc(batch_misses)
         representatives = [configs[index] for index in missing.values()]
         if representatives:
-            batch_estimate = resolve_batch_estimator(self.estimator)
-            if parallel is not None and getattr(parallel, "workers", 1) > 1:
-                values = parallel.map(representatives)
-            elif batch_estimate is not None and len(representatives) > 1:
-                # Vectorized path: one call scores the whole generation.
-                # Results are bit-identical to the scalar estimator, so
-                # journals and checkpoints do not depend on which path ran.
-                values = batch_estimate(representatives)
-            else:
-                values = [self.estimator(config) for config in representatives]
+            values = self._estimate_misses(representatives, parallel)
             with self._lock:
                 for key, value in zip(missing, values):
                     self._store[key] = value
@@ -209,6 +193,26 @@ class EvaluationCache:
         if with_info:
             return list(zip(results, cached_flags))
         return results
+
+    def _estimate_misses(
+        self,
+        configs: Sequence["DNNConfig"],
+        parallel: Optional["ParallelEvaluator"] = None,
+    ) -> list:
+        """Run the estimator on cache misses, batched whenever it can be.
+
+        Every miss, a batch of one included, goes to the estimator's
+        ``estimate_batch`` when it has one (or across ``parallel``'s workers,
+        which batch per worker).  Batched results are bit-identical to the
+        scalar estimator, so journals and checkpoints do not depend on which
+        path ran.
+        """
+        if parallel is not None and getattr(parallel, "workers", 1) > 1:
+            return parallel.map(configs)
+        batch_estimate = resolve_batch_estimator(self.estimator)
+        if batch_estimate is not None:
+            return batch_estimate(configs)
+        return [self.estimator(config) for config in configs]
 
     # ------------------------------------------------------------ bulk access
     def get_many(self, configs: Sequence["DNNConfig"]) -> list:

@@ -2,15 +2,18 @@
 
 The analytical estimators are pure Python / numpy closures over device and
 coefficient objects, so a thread pool is the right executor: nothing needs to
-be pickled and numpy releases the GIL in its kernels.  With ``workers=1`` the
-evaluator degenerates to a plain serial loop with zero overhead, which is
-also the mode that guarantees bit-identical search journals.
+be pickled, and every worker thread shares the FPGA engine's process-wide
+group statics.  With ``workers=1`` the evaluator degenerates to a plain
+serial loop with zero overhead, which is also the mode that guarantees
+bit-identical search journals.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
+
+from repro.search.cache import resolve_batch_estimator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.core.dnn_config import DNNConfig
@@ -33,10 +36,27 @@ class ParallelEvaluator:
 
     # -------------------------------------------------------------- execution
     def map(self, configs: Sequence["DNNConfig"]) -> list["PerformanceEstimate"]:
-        """Evaluate every config, returning estimates in input order."""
+        """Evaluate every config, returning estimates in input order.
+
+        An estimator with an ``estimate_batch`` (see
+        :func:`repro.search.cache.resolve_batch_estimator`) scores one
+        contiguous chunk of the configs per worker; the chunks are joined
+        back in input order.
+        """
+        batch = resolve_batch_estimator(self.estimator)
         if self.workers == 1 or len(configs) <= 1:
+            if batch is not None:
+                return list(batch(configs))
             return [self.estimator(config) for config in configs]
-        return list(self._ensure_pool().map(self.estimator, configs))
+        if batch is None:
+            return list(self._ensure_pool().map(self.estimator, configs))
+        size = -(-len(configs) // self.workers)
+        chunks = [configs[start:start + size] for start in range(0, len(configs), size)]
+        return [
+            estimate
+            for chunk in self._ensure_pool().map(batch, chunks)
+            for estimate in chunk
+        ]
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:

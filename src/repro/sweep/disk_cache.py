@@ -192,21 +192,10 @@ class DiskEvaluationCache:
         if loaded:
             logger.debug("disk cache loaded %d entries for %s", loaded, self.namespace)
 
-    def _append(self, key: str, estimate: PerformanceEstimate) -> None:
-        record = {
-            "namespace": self.namespace,
-            "key": key,
-            "estimate": _estimate_payload(estimate),
-            "ts": round(self._clock(), 3),
-        }
-        with self.shard_path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-
     def _append_many(self, entries: Sequence[tuple[str, PerformanceEstimate]]) -> None:
-        """Append many records with one shard-file open (and one ``ts``).
+        """Append records, one JSON line each, with one shard-file open.
 
-        Record format and order match a sequence of :meth:`_append` calls, so
-        shards written by the batched path replay identically.
+        Every record of one call carries the same ``ts``.
         """
         if not entries:
             return
@@ -234,25 +223,22 @@ class DiskEvaluationCache:
         return self.evaluate_with_info(config)[0]
 
     def evaluate_with_info(self, config: "DNNConfig") -> tuple[PerformanceEstimate, bool]:
-        """Evaluate one config; returns ``(estimate, served_from_disk)``."""
+        """Evaluate one config; returns ``(estimate, served_from_disk)``.
+
+        A miss is a batch of one through :meth:`estimate_batch`, so it
+        reaches the underlying estimator's batched engine too.
+        """
         key = self.key_fn(config)
-        reg = telemetry.registry()
         with self._lock:
             cached = self._store.get(key)
             if cached is not None:
                 self._hits += 1
-                if reg is not None:
-                    reg.counter("sweep.disk_cache.hits").inc()
-                return cached, True
-        value = self.estimator(config)
-        with self._lock:
-            self._misses += 1
-            if key not in self._store:
-                self._store[key] = value
-                self._append(key, value)
-        if reg is not None:
-            reg.counter("sweep.disk_cache.misses").inc()
-        return value, False
+        if cached is not None:
+            reg = telemetry.registry()
+            if reg is not None:
+                reg.counter("sweep.disk_cache.hits").inc()
+            return cached, True
+        return self.estimate_batch([config])[0], False
 
     def estimate_batch(self, configs: Sequence["DNNConfig"]) -> list[PerformanceEstimate]:
         """Evaluate a batch: bulk disk lookup, one estimator batch, one append.
@@ -281,7 +267,7 @@ class DiskEvaluationCache:
         representatives = [configs[index] for index in missing.values()]
         if representatives:
             batch_estimate = resolve_batch_estimator(self.estimator)
-            if batch_estimate is not None and len(representatives) > 1:
+            if batch_estimate is not None:
                 values = batch_estimate(representatives)
             else:
                 values = [self.estimator(config) for config in representatives]

@@ -17,6 +17,7 @@ tests assert the wiring contracts:
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
@@ -33,7 +34,7 @@ from repro.detection.task import TINY_DETECTION_TASK
 from repro.hw.device import PYNQ_Z1
 from repro.hw.resource import ResourceVector
 from repro.search.base import create_explorer
-from repro.search.cache import EvaluationCache, resolve_batch_estimator
+from repro.search.cache import EvaluationCache, config_cache_key, resolve_batch_estimator
 from repro.search.session import SearchSession
 from repro.sweep import SweepRunner, build_grid
 from repro.sweep.disk_cache import DiskEvaluationCache
@@ -97,6 +98,42 @@ class TestResolveBatchEstimator:
         assert resolve_batch_estimator(disk) == disk.estimate_batch
 
 
+class TestConfigKeyMemo:
+    def test_key_bytes_are_unchanged(self):
+        assert config_cache_key(make_config(8)) == (
+            "B13-N2-relu4-pf8: Bundle 13 <dwconv3x3+conv1x1>, 2 bundle "
+            "replications, maximum 32 channels, 8-bit feature map (relu4), "
+            "8-bit weights, PF=8 | Pi=[1.5,1.5] X=[1,1] stem=16 "
+            "task=tiny-object-detection@3x32x64"
+        )
+        assert config_cache_key(make_config(16, reps=3, name="probe")) == (
+            "probe: Bundle 13 <dwconv3x3+conv1x1>, 3 bundle replications, "
+            "maximum 48 channels, 8-bit feature map (relu4), 8-bit weights, "
+            "PF=16 | Pi=[1.5,1.5,1.5] X=[1,1,1] stem=16 "
+            "task=tiny-object-detection@3x32x64"
+        )
+
+    def test_key_is_memoized_per_instance(self):
+        config = make_config(8)
+        key = config_cache_key(config)
+        assert config_cache_key(config) is key
+        moved = config.with_updates(parallel_factor=16)
+        assert "cache_key" not in moved.__dict__
+        assert config_cache_key(moved) != key
+
+    def test_memo_stays_out_of_equality_hash_and_pickle(self):
+        keyed, fresh = make_config(8), make_config(8)
+        config_cache_key(keyed)
+        _ = keyed.structure_key
+        assert keyed == fresh and hash(keyed) == hash(fresh)
+        assert pickle.dumps(keyed) == pickle.dumps(fresh)
+        restored = pickle.loads(pickle.dumps(keyed))
+        assert "cache_key" not in restored.__dict__
+        assert "structure_key" not in restored.__dict__
+        assert restored == keyed
+        assert config_cache_key(restored) == config_cache_key(keyed)
+
+
 class TestEvaluationCacheBatch:
     def test_batch_dispatch_and_accounting(self):
         spy = SpyEstimator()
@@ -121,11 +158,13 @@ class TestEvaluationCacheBatch:
         scalar = [scalar_cache.evaluate(config) for config in configs]
         assert batched == scalar
 
-    def test_single_missing_config_stays_scalar(self):
+    def test_single_missing_config_is_a_batch_of_one(self):
         spy = SpyEstimator()
         cache = EvaluationCache(spy)
         cache.evaluate_batch([make_config(4)])
-        assert spy.batch_calls == 0 and spy.scalar_calls == 1
+        cache.evaluate(make_config(8))
+        assert spy.batch_calls == 2 and spy.batched_configs == 2
+        assert spy.scalar_calls == 0
 
     def test_get_many_is_a_pure_read(self):
         spy = SpyEstimator()
@@ -137,7 +176,8 @@ class TestEvaluationCacheBatch:
         assert looked_up == [value, None, value]
         assert cache.hits == hits + 2
         assert cache.misses == misses  # never bumped by a lookup
-        assert spy.scalar_calls == 1 and spy.batch_calls == 0
+        # Only the evaluate() miss reached the estimator (as a batch of one).
+        assert spy.batched_configs == 1 and spy.scalar_calls == 0
 
     def test_put_many_roundtrip_is_counter_neutral(self):
         auto = AutoHLS(PYNQ_Z1)

@@ -1,4 +1,4 @@
-"""Golden-equivalence suite for the vectorized batch estimator.
+"""Golden-equivalence suite for the batched FPGA estimation engine.
 
 The contract of :mod:`repro.hw.batch` is bit-exactness: for every config,
 ``BatchedDNNEstimator.estimate_batch`` must reproduce the scalar
@@ -10,11 +10,20 @@ this file uses ``==`` on raw floats, never ``pytest.approx``.
 
 from __future__ import annotations
 
+import json
+import random
+import sys
+import threading
+from array import array
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.telemetry as telemetry
+from repro.core.auto_dnn import AutoDNN
+from repro.core.auto_hls import AutoHLS
 from repro.core.bundle_generation import get_bundle
 from repro.core.dnn_config import DNNConfig
 from repro.detection.task import DAC_SDC_TASK, TINY_DETECTION_TASK
@@ -24,9 +33,16 @@ from repro.hw.analytical import (
     DNNPerformanceModel,
     PerformanceEstimate,
 )
+import repro.hw.batch as batch_module
 from repro.hw.batch import BatchedDNNEstimator, estimate_batch
-from repro.hw.device import PYNQ_Z1, ULTRA96
+from repro.detection.accuracy_model import SurrogateAccuracyModel
+from repro.core.constraints import LatencyTarget
+from repro.hw.device import PYNQ_Z1, ULTRA96, get_device, list_devices
+from repro.hw.ip_library import default_ip_library
+from repro.hw.workload import NetworkWorkload
 from repro.hw.tile_arch import TileArchAccelerator
+from repro.search import SearchSession
+from repro.utils.serialization import to_jsonable
 
 # A refit-style coefficient set: every knob off its default, so coefficient
 # mix-ups between the paths cannot cancel out.
@@ -36,11 +52,17 @@ REFIT = AnalyticalModelCoefficients(
 )
 
 
-def scalar_estimate(config, device, coefficients, clock_mhz) -> PerformanceEstimate:
+@pytest.fixture
+def fresh_stores(monkeypatch):
+    """Empty process-wide statics stores for the duration of one test."""
+    monkeypatch.setattr(batch_module, "_STORES", {})
+
+
+def scalar_estimate(config, device, coefficients, clock_mhz, library=None) -> PerformanceEstimate:
     """The reference scalar path, exactly as AutoHLS.estimate runs it."""
     accelerator = TileArchAccelerator.build(
         config.to_workload(), device,
-        parallel_factor=config.parallel_factor, clock_mhz=clock_mhz,
+        parallel_factor=config.parallel_factor, clock_mhz=clock_mhz, library=library,
     )
     return DNNPerformanceModel(accelerator, coefficients).estimate()
 
@@ -146,11 +168,11 @@ class TestGoldenEquivalence:
                 estimate, scalar_estimate(tiny_config, device, coefficients, resolved)
             )
 
-    def test_duplicate_configs_share_one_group(self, tiny_config, device):
+    def test_duplicate_configs_share_one_group(self, tiny_config, device, fresh_stores):
         estimator = BatchedDNNEstimator(device)
         results = estimator.estimate_batch([tiny_config, tiny_config, tiny_config])
         assert results[0] == results[1] == results[2]
-        assert len(estimator._groups) == 1
+        assert len(estimator._store) == 1
 
     def test_module_level_convenience(self, tiny_config, device):
         [estimate] = estimate_batch([tiny_config], device, clock_mhz=120.0)
@@ -204,7 +226,9 @@ class TestEstimatorInternals:
         assert workload.total_macs == reference.total_macs
         assert len(workload.layers) == len(reference.layers)
 
-    def test_group_key_ignores_parallel_factor_and_name(self, bundle13, tiny_task, device):
+    def test_group_key_ignores_parallel_factor_and_name(
+        self, bundle13, tiny_task, device, fresh_stores
+    ):
         base = dict(
             bundle=bundle13, task=tiny_task, num_repetitions=2,
             channel_expansion=(1.5, 1.5), downsample=(1, 1),
@@ -215,7 +239,7 @@ class TestEstimatorInternals:
             DNNConfig(parallel_factor=4, name="a", **base),
             DNNConfig(parallel_factor=16, name="b", **base),
         ])
-        assert len(estimator._groups) == 1
+        assert len(estimator._store) == 1
 
     def test_telemetry_counters(self, tiny_config, device):
         telemetry.disable()
@@ -252,3 +276,219 @@ class TestResourcesHoistRegression:
         assert num_groups >= 2, "test needs a multi-group workload to be meaningful"
         model.estimate()
         assert calls["resources"] == 1
+
+
+CATALOGUE = [get_device(name) for name in list_devices()]
+PARALLEL_FACTORS = (4, 8, 16, 32, 64, 128, 256)
+
+
+def structures(task=TINY_DETECTION_TASK) -> list[DNNConfig]:
+    """One config per distinct structure of the heterogeneous grid."""
+    return [config for config in config_grid(task) if config.parallel_factor == 4]
+
+
+def interleaved_grid() -> list[DNNConfig]:
+    """Every structure at PF 4..256, shuffled so groups interleave.
+
+    A few full-resolution structures join the tiny ones: only there do
+    layers span several tiles, so a reuse count other than 1 is exercised.
+    """
+    mixed = structures() + structures(DAC_SDC_TASK)[:3]
+    configs = [
+        config.with_updates(parallel_factor=pf)
+        for config in mixed for pf in PARALLEL_FACTORS
+    ]
+    random.Random(7).shuffle(configs)
+    return configs
+
+
+@pytest.fixture(scope="module")
+def refit_coefficients():
+    """Coefficients refit by Auto-HLS sampling, per catalogue device."""
+    samples = [config.to_workload() for config in structures()[:2]]
+    fitted = {}
+    for device in CATALOGUE:
+        engine = AutoHLS(device)
+        engine.fit_models(samples)
+        assert engine.coefficients != DEFAULT_COEFFICIENTS
+        fitted[device.name] = engine.coefficients
+    return fitted
+
+
+class TestGoldenCatalogue:
+    """Engine == scalar model on every device, clock, fit and PF."""
+
+    @pytest.mark.parametrize("device", CATALOGUE, ids=lambda d: d.name)
+    @pytest.mark.parametrize("clock", ["default", "max"])
+    @pytest.mark.parametrize("refit", [False, True], ids=["default-fit", "refit"])
+    def test_mixed_batches_and_batches_of_one(
+        self, device, clock, refit, refit_coefficients, fresh_stores
+    ):
+        coefficients = refit_coefficients[device.name] if refit else DEFAULT_COEFFICIENTS
+        clock_mhz = device.default_clock_mhz if clock == "default" else device.max_clock_mhz
+        configs = interleaved_grid()
+        estimator = BatchedDNNEstimator(device)
+        cold = estimator.estimate_batch(configs, coefficients, clock_mhz)
+        singles = [
+            estimator.estimate_batch([config], coefficients, clock_mhz)[0]
+            for config in configs
+        ]
+        for config, batched, single in zip(configs, cold, singles):
+            scalar = scalar_estimate(config, device, coefficients, clock_mhz)
+            assert_bit_identical(batched, scalar)
+            assert_bit_identical(single, scalar)
+
+    def test_results_survive_forced_eviction(self, monkeypatch, fresh_stores):
+        configs = interleaved_grid()
+        reference = BatchedDNNEstimator(ULTRA96).estimate_batch(configs, REFIT, 201.25)
+        monkeypatch.setattr(batch_module, "_STORES", {})
+        monkeypatch.setattr(batch_module, "_STORE_CAPACITY", 2)
+        estimator = BatchedDNNEstimator(ULTRA96)
+        # Nine interleaved groups through a two-entry store: nearly every
+        # config evicts a group and rebuilds its own.
+        for _ in range(2):
+            evicted = estimator.estimate_batch(configs, REFIT, 201.25)
+            assert len(estimator._store) == 2
+            assert evicted == reference
+        for config, estimate in zip(configs, evicted):
+            assert_bit_identical(
+                estimate, scalar_estimate(config, ULTRA96, REFIT, 201.25)
+            )
+
+
+def _walk(value):
+    """Every object reachable through containers from ``value``."""
+    yield value
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _walk(key)
+            yield from _walk(item)
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        for item in value:
+            yield from _walk(item)
+    elif hasattr(value, "__slots__"):
+        for name in value.__slots__:
+            yield from _walk(getattr(value, name))
+
+
+class TestStatisticsStore:
+    def test_store_never_exceeds_capacity(self, monkeypatch, fresh_stores):
+        monkeypatch.setattr(batch_module, "_STORE_CAPACITY", 3)
+        estimator = BatchedDNNEstimator(PYNQ_Z1)
+        for config in interleaved_grid():
+            estimator.estimate_batch([config])
+            assert len(estimator._store) <= 3
+        assert len(estimator._store) == 3
+
+    def test_least_recently_used_group_is_evicted(self, monkeypatch, fresh_stores):
+        monkeypatch.setattr(batch_module, "_STORE_CAPACITY", 2)
+        first, second, third = structures()[:3]
+        estimator = BatchedDNNEstimator(PYNQ_Z1)
+        estimator.estimate_batch([first, second, first, third])
+        keys = list(estimator._store._entries)
+        assert keys == [first.structure_key, third.structure_key]
+
+    def test_store_holds_rows_only(self, fresh_stores):
+        estimator = BatchedDNNEstimator(PYNQ_Z1)
+        estimator.estimate_batch(interleaved_grid())
+        assert estimator.workload_for(structures()[0]) is not None
+        entries = estimator._store._entries
+        assert len(entries) == len(structures()) + 3
+        for key, statics in entries.items():
+            for value in _walk((key, statics)):
+                assert not isinstance(value, (NetworkWorkload, np.ndarray))
+            assert isinstance(statics.layers, array)
+            assert isinstance(statics.instances, array)
+
+    def test_estimators_of_one_device_share_a_store(self, fresh_stores):
+        config = structures()[0]
+        BatchedDNNEstimator(PYNQ_Z1).estimate_batch([config])
+        other = BatchedDNNEstimator(PYNQ_Z1)
+        assert config.structure_key in other._store._entries
+        assert other._store is not BatchedDNNEstimator(ULTRA96)._store
+
+    def test_custom_library_never_shares_default_entries(self, fresh_stores):
+        library = default_ip_library()
+        slow = library.get("conv3x3")
+        library.register(type(slow)(**{**slow.__dict__, "efficiency": 0.07}))
+        configs = interleaved_grid()
+        default = BatchedDNNEstimator(PYNQ_Z1)
+        custom = BatchedDNNEstimator(PYNQ_Z1, library=library)
+        assert custom._store is not default._store
+        default_results = default.estimate_batch(configs)
+        assert len(custom._store) == 0
+        custom_results = custom.estimate_batch(configs)
+        assert custom_results != default_results
+        for config, estimate in zip(configs, custom_results):
+            assert_bit_identical(
+                estimate,
+                scalar_estimate(
+                    config, PYNQ_Z1, DEFAULT_COEFFICIENTS,
+                    PYNQ_Z1.default_clock_mhz, library=library,
+                ),
+            )
+
+
+class TestWorkerThreads:
+    def test_store_stress_under_thread_switching(self, monkeypatch, fresh_stores):
+        # More threads than cores, a tiny store and a short switch interval:
+        # lookups, builds, inserts and evictions interleave constantly.
+        monkeypatch.setattr(batch_module, "_STORE_CAPACITY", 3)
+        configs = interleaved_grid()
+        reference = [
+            scalar_estimate(config, PYNQ_Z1, DEFAULT_COEFFICIENTS, PYNQ_Z1.default_clock_mhz)
+            for config in configs
+        ]
+        estimator = BatchedDNNEstimator(PYNQ_Z1)
+        results: dict[int, list] = {}
+
+        def worker(seed: int) -> None:
+            order = list(range(len(configs)))
+            random.Random(seed).shuffle(order)
+            got = [None] * len(configs)
+            for _ in range(3):
+                for index in order:
+                    [got[index]] = estimator.estimate_batch([configs[index]])
+            results[seed] = got
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(results) == list(range(8))
+        for got in results.values():
+            assert got == reference
+        assert len(estimator._store) <= 3
+
+    @pytest.mark.parametrize("strategy", ["evolutionary", "random"])
+    def test_threaded_search_journal_matches_serial(self, strategy, monkeypatch):
+        def journal(workers: int) -> str:
+            # A cold store per run, so the worker threads race to build,
+            # insert and evict the same groups.
+            monkeypatch.setattr(batch_module, "_STORES", {})
+            monkeypatch.setattr(batch_module, "_STORE_CAPACITY", 8)
+            session = SearchSession(name="threads")
+            auto_dnn = AutoDNN(
+                task=TINY_DETECTION_TASK, device=PYNQ_Z1, auto_hls=AutoHLS(PYNQ_Z1),
+                accuracy_model=SurrogateAccuracyModel(noise=0.0),
+                stem_channels=16, max_channels=128, rng=3, strategy=strategy,
+                workers=workers, session=session,
+            )
+            try:
+                auto_dnn.search(
+                    [get_bundle(13), get_bundle(5)],
+                    [LatencyTarget(fps=150.0, tolerance_ms=3.0)],
+                    activations=("relu4",), num_candidates=2, max_iterations=80,
+                )
+            finally:
+                auto_dnn.close()
+            return json.dumps(to_jsonable(session.as_dict()), sort_keys=True)
+
+        assert journal(workers=4) == journal(workers=1)
