@@ -247,8 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_grid_args(sweep)
     sweep.add_argument("--workers", type=_positive_int, default=1,
                        help="worker processes (1 = in-process serial)")
-    sweep.add_argument("--schedule", choices=["steal", "chunked"], default="steal",
-                       help="cell dispatch: cost-ordered work-stealing or static chunks")
     _add_resilience_args(sweep)
     sweep.add_argument("--per-cell-prep", action="store_true",
                        help="re-run model fit + bundle selection in every cell "
@@ -576,7 +574,6 @@ def _build_sweep_runner(args: argparse.Namespace, transport=None):
         tasks,
         workers=getattr(args, "workers", 1),
         cache_dir=args.cache_dir,
-        schedule=getattr(args, "schedule", "steal"),
         timeout_s=args.timeout_s,
         timeout_scale=args.timeout_scale,
         retries=args.retries,

@@ -492,22 +492,38 @@ class ServiceCoordinator:
         info = self._touch_worker(worker_id)
         boards = self._running_boards()
         by_job: dict[str, list[str]] = {}
-        lost: list[str] = []
+        settled: list[str] = []
+        revoked: list[str] = []
         for lease_id in lease_ids:
             job_uid, sep, _ = lease_id.rpartition(":")
             if sep and job_uid in boards:
                 by_job.setdefault(job_uid, []).append(lease_id)
+            elif self._job_settled(job_uid):
+                settled.append(lease_id)
             else:
-                # The owning board is gone (job cancelled, settled, or the
-                # lease predates a restart): the lease is lost.
-                lost.append(lease_id)
+                revoked.append(lease_id)
         for job_uid, ids in by_job.items():
             board = boards[job_uid]
             board.adopt_worker(worker_id, info["name"])
-            lost.extend(board.heartbeat(worker_id, ids))
+            job_settled, job_revoked = board.heartbeat(worker_id, ids)
+            settled.extend(job_settled)
+            revoked.extend(job_revoked)
         with self._lock:
             self._lease_totals["heartbeats"] += 1
-        return {"ok": True, "lost": lost, "done": False}
+        return {"ok": True, "settled": settled, "revoked": revoked, "done": False}
+
+    def _job_settled(self, job_uid: str) -> bool:
+        """True when a job without a board finished its cells (not cancelled).
+
+        A running job loses its board only once every cell settled (the
+        board attaches when the job enters ``running``); a cancelled job, or
+        one unknown since a restart, revoked its leases instead.
+        """
+        try:
+            job = self.queue.get(job_uid)
+        except KeyError:
+            return False
+        return not job.cancel.is_set() and job.state in ("running", "done", "failed")
 
     # ------------------------------------------------------------ cache routes
     def handle_cache_pull(self, payload: Mapping) -> dict:
@@ -644,7 +660,6 @@ class ServiceCoordinator:
             workers=0,
             cache_dir=str(job.directory),
             failures=failures,
-            schedule="service",
             reused=len(outcomes),
         )
 

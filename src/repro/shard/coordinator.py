@@ -25,7 +25,7 @@ Fault model
   single-valued.)
 * **Retry pacing** — a requeued cell re-enters the queue after the
   runner's deterministic exponential backoff, exactly like the local
-  work-stealing schedule.
+  worker pool.
 
 Ordering is the runner's longest-expected-first cost order: the lease
 queue is primed with the cost-sorted indices, so remote fleets see the
@@ -134,6 +134,8 @@ class LeaseBoard:
             cell.task.uid: index for index, cell in self._cells.items()
         }
         self._queue: list[int] = list(order)
+        #: Leases whose worker reported back (heartbeats call them settled).
+        self._reported: set[str] = set()
         self._lease_seq = 0
         self._workers: dict[str, dict] = {}
         self._worker_seq = 0
@@ -282,11 +284,18 @@ class LeaseBoard:
             )
         return leased
 
-    def heartbeat(self, worker_id: str, lease_ids: list[str]) -> list[str]:
-        """Extend the worker's live leases; return the ids it has lost."""
+    def heartbeat(self, worker_id: str, lease_ids: list[str]) -> tuple[list[str], list[str]]:
+        """Extend the worker's live leases; return ``(settled, revoked)`` ids.
+
+        A lease the worker no longer holds is *settled* when a report for
+        it arrived — the heartbeat snapshotted the worker's leases just
+        before its report landed — and *revoked* otherwise (expired or past
+        its deadline and taken back, or never issued by this board).
+        """
         now = time.monotonic()
         self._expire_locked_leases(now)
-        lost: list[str] = []
+        settled: list[str] = []
+        revoked: list[str] = []
         with self._lock:
             self._touch(worker_id, now)
             self.metrics["heartbeats"] += 1
@@ -297,11 +306,13 @@ class LeaseBoard:
             }
             for lease_id in lease_ids:
                 cell = live.get(lease_id)
-                if cell is None:
-                    lost.append(lease_id)
-                else:
+                if cell is not None:
                     cell.expires_at = now + self.lease_ttl_s
-        return lost
+                elif lease_id in self._reported:
+                    settled.append(lease_id)
+                else:
+                    revoked.append(lease_id)
+        return settled, revoked
 
     def report(
         self,
@@ -341,6 +352,7 @@ class LeaseBoard:
             cell = self._cells[index]
             if lease_id not in cell.issued_leases:
                 return (False, "unknown-lease")
+            self._reported.add(lease_id)
             if cell.status == "settled":
                 self.metrics["duplicates"] += 1
                 return (False, "duplicate")
@@ -717,8 +729,9 @@ class ShardCoordinator:
     def handle_heartbeat(self, payload: Mapping) -> dict:
         worker_id = require(payload, "worker_id", str)
         lease_ids = [str(l) for l in payload.get("lease_ids", [])]
-        lost = self.board.heartbeat(worker_id, lease_ids)
-        return {"ok": True, "lost": lost, "done": self.board.done}
+        settled, revoked = self.board.heartbeat(worker_id, lease_ids)
+        return {"ok": True, "settled": settled, "revoked": revoked,
+                "done": self.board.done}
 
     # ------------------------------------------------------------ cache sync
     def handle_cache_pull(self, payload: Mapping) -> dict:

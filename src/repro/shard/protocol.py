@@ -46,10 +46,12 @@ unless noted):
     ignore it.
 
 ``/v1/heartbeat``
-    ``{"worker_id", "lease_ids": [...]}`` → ``{"ok", "lost": [...]}``.
-    Extends the worker's leases; a lease the coordinator already revoked
-    (expired and requeued) comes back in ``lost`` so the worker can stop
-    wasting cycles on it.
+    ``{"worker_id", "lease_ids": [...]}`` → ``{"ok", "settled": [...],
+    "revoked": [...]}``.  Extends the worker's leases.  A lease whose cell
+    already settled (typically by the worker's own report, which raced
+    the heartbeat) comes back in ``settled`` and needs no action; a lease
+    the coordinator revoked (expired and requeued, or unknown) comes back
+    in ``revoked``, the only case a worker warns about.
 
 ``/v1/cache/pull`` / ``/v1/cache/push``
     Bulk estimator-cache exchange so a fresh worker warm-starts instead
@@ -86,7 +88,8 @@ from repro.sweep.runner import PreparedTarget, SweepFailure, SweepOutcome, Sweep
 from repro.utils.serialization import to_jsonable
 
 #: Protocol version; a coordinator rejects workers speaking another one.
-PROTOCOL_VERSION = 1
+#: v2: the heartbeat reply's ``lost`` became ``settled`` and ``revoked``.
+PROTOCOL_VERSION = 2
 
 #: Default coordinator port (unassigned by IANA, outside ephemeral range).
 DEFAULT_PORT = 8765
@@ -147,7 +150,7 @@ def task_from_wire(payload: Mapping) -> SweepTask:
 
 
 def outcome_to_wire(outcome: SweepOutcome) -> dict:
-    return to_jsonable(outcome)
+    return outcome.as_dict()
 
 
 def outcome_from_wire(payload: Mapping) -> SweepOutcome:

@@ -11,9 +11,10 @@ assembly all stay in the runner — a transport only decides *where* the
 single-cell execution path (:func:`repro.sweep.runner.run_sweep_task`)
 runs.
 
-* :class:`LocalTransport` — delegates back to the runner's built-in
-  process schedules; ``SweepRunner(transport=LocalTransport())`` is
-  exactly ``SweepRunner()``.  Exists so callers can treat "local" and
+* :class:`LocalTransport` — delegates back to the runner's local
+  execution (in-process, or its persistent worker pool);
+  ``SweepRunner(transport=LocalTransport())`` is exactly
+  ``SweepRunner()``.  Exists so callers can treat "local" and
   "distributed" uniformly.
 * :class:`CoordinatorTransport` — binds the lease-based HTTP coordinator
   (:mod:`repro.shard.coordinator`) and serves the cells to remote
@@ -59,16 +60,15 @@ class Transport(ABC):
 
 
 class LocalTransport(Transport):
-    """Run cells with the runner's built-in local process schedules."""
+    """Run cells with the runner's local execution (pool or in-process)."""
+
+    #: The runner's worker pool serves this transport's preparations too.
+    local = True
 
     def execute(self, runner, order, preparations):
         if not order:
             return {}, {}
-        if runner.workers == 1 and runner.timeout_s is None:
-            return runner._run_serial(sorted(order), preparations)
-        if runner.schedule == "chunked":
-            return runner._run_chunked(sorted(order), preparations)
-        return runner._run_stealing(order, preparations)
+        return runner.execute_locally(order, preparations)
 
 
 class CoordinatorTransport(Transport):

@@ -11,9 +11,11 @@ machine ran it.
 
 ``workers=1`` executes leased cells serially in-process (easiest to debug
 and test; a custom ``task_fn`` need not be picklable).  ``workers > 1``
-fans cells out across a local :class:`~concurrent.futures.
-ProcessPoolExecutor` — one shard worker per machine, one OS process per
-concurrent cell, mirroring the local sweep's process model.
+runs them on the same persistent :class:`~repro.sweep.pool.WorkerPool` a
+local sweep uses — one shard worker per machine, one long-lived OS process
+per slot, so each keeps its estimator statics and disk-cache memo warm
+from cell to cell.  A pool process that dies is reported as an error for
+its cell and replaced.
 
 Failure handling is deliberately asymmetric: the *coordinator* owns all
 retry/requeue policy.  A worker reports raw errors and keeps going; it
@@ -33,7 +35,6 @@ import os
 import socket
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Callable, Optional
 
 from repro.shard.protocol import (
@@ -45,6 +46,7 @@ from repro.shard.protocol import (
     task_from_wire,
 )
 import repro.telemetry as telemetry
+from repro.sweep.pool import WorkerPool
 from repro.sweep.runner import PreparedTarget, SweepOutcome, run_sweep_task
 from repro.utils.logging import get_logger
 
@@ -63,26 +65,15 @@ def execute_cell(task_fn, task, cache_dir, prepared) -> tuple[str, object, float
         value = task_fn(task, cache_dir, prepared)
     except Exception as exc:  # noqa: BLE001 - reported to the coordinator
         return ("error", f"{type(exc).__name__}: {exc}", time.perf_counter() - start)
-    if not isinstance(value, SweepOutcome):
-        return (
-            "error",
-            f"worker returned {type(value).__name__!s} instead of SweepOutcome",
-            time.perf_counter() - start,
-        )
-    return ("ok", value, time.perf_counter() - start)
+    status, value = _checked_result("ok", value)
+    return (status, value, time.perf_counter() - start)
 
 
-def _execute_cell_pooled(task_fn, task, cache_dir, prepared):
-    """Pool-process variant of :func:`execute_cell`: ships metrics home.
-
-    Resets the (fork-inherited) telemetry state first so the returned
-    snapshot holds exactly this cell's measurements, then appends it to the
-    ``execute_cell`` triple.  The serial path needs none of this: it already
-    accumulates into the worker's own registry.
-    """
-    telemetry.reset()
-    status, value, duration = execute_cell(task_fn, task, cache_dir, prepared)
-    return status, value, duration, telemetry.snapshot()
+def _checked_result(status: str, value) -> tuple[str, object]:
+    """Turn a non-outcome return value into an error report."""
+    if status == "ok" and not isinstance(value, SweepOutcome):
+        return "error", f"worker returned {type(value).__name__!s} instead of SweepOutcome"
+    return status, value
 
 
 class ShardWorker:
@@ -216,15 +207,24 @@ class ShardWorker:
                 })
             except ShardProtocolError:
                 continue  # transient; the main loop handles a dead coordinator
-            if reply.get("done"):
-                self._saw_done.set()
-            lost = reply.get("lost") or []
-            if lost:
-                logger.warning(
-                    "shard worker %s: coordinator revoked lease(s) %s "
-                    "(results will be reported anyway and deduplicated)",
-                    self.worker_id, ", ".join(map(str, lost)),
-                )
+            self._on_heartbeat(reply)
+
+    def _on_heartbeat(self, reply: dict) -> None:
+        """Act on a heartbeat reply; warn only about real revocations.
+
+        A heartbeat snapshots the active leases before sending, so a lease
+        whose report lands first comes back ``settled`` — the normal race
+        of a healthy run, not worth a word.
+        """
+        if reply.get("done"):
+            self._saw_done.set()
+        revoked = reply.get("revoked") or []
+        if revoked:
+            logger.warning(
+                "shard worker %s: coordinator revoked lease(s) %s "
+                "(results will be reported anyway and deduplicated)",
+                self.worker_id, ", ".join(map(str, revoked)),
+            )
 
     def _lease(self, slots: int) -> dict:
         reply = self._post("/v1/lease", {
@@ -376,26 +376,23 @@ class ShardWorker:
             return 1
 
     def _run_pooled(self) -> int:
-        in_flight: dict = {}  # future -> (lease_id, uid, job)
+        in_flight: dict[str, tuple[str, Optional[str]]] = {}  # lease -> (uid, job)
         try:
-            with ProcessPoolExecutor(max_workers=self.workers) as pool:
+            with WorkerPool(self.task_fn, self.workers) as pool:
                 while True:
-                    free = self.workers - len(in_flight)
-                    if free > 0:
-                        reply = self._checked(lambda: self._lease(free))
+                    if pool.free:
+                        reply = self._checked(lambda: self._lease(pool.free))
                         if reply is None:
                             return 0
                         cells = reply.get("cells") or []
                         for cell in cells:
                             lease_id = str(cell["lease_id"])
-                            uid = str(cell["uid"])
                             with self._lease_lock:
                                 self._active_leases.add(lease_id)
                             task = task_from_wire(cell["task"])
                             prepared = self._prepared.get(cell.get("prep") or "")
-                            future = pool.submit(_execute_cell_pooled, self.task_fn,
-                                                 task, self.cache_dir, prepared)
-                            in_flight[future] = (lease_id, uid, cell.get("job"))
+                            pool.submit(lease_id, "cell", task, self.cache_dir, prepared)
+                            in_flight[lease_id] = (str(cell["uid"]), cell.get("job"))
                         if cells:
                             self._note_work()
                         elif not in_flight:
@@ -404,24 +401,18 @@ class ShardWorker:
                             if self._idle_pause(reply):
                                 return 0
                             continue
-                    if in_flight:
-                        # Bounded wait so freed slots keep leasing while slow
-                        # cells are still running.
-                        done, _ = wait(in_flight, timeout=0.5,
-                                       return_when=FIRST_COMPLETED)
-                        for future in done:
-                            lease_id, uid, job = in_flight.pop(future)
-                            try:
-                                status, value, duration, cell_metrics = future.result()
-                            except Exception as exc:  # noqa: BLE001 - pool-level crash
-                                status, value, duration, cell_metrics = (
-                                    "error", f"{type(exc).__name__}: {exc}", 0.0, None)
-                            telemetry.merge(cell_metrics)
-                            self.executed += 1
-                            if self._checked(
-                                lambda lid=lease_id, u=uid, s=status, v=value,
-                                d=duration, j=job: self._report(lid, u, s, v, d, j) or {}
-                            ) is None:
-                                return 0
+                    # Bounded wait so freed slots keep leasing while slow
+                    # cells are still running.
+                    for lease_id, status, value, duration, metrics in pool.wait(0.5):
+                        uid, job = in_flight.pop(lease_id)
+                        telemetry.merge(metrics)
+                        status, value = _checked_result(
+                            "error" if status == "crash" else status, value)
+                        self.executed += 1
+                        if self._checked(
+                            lambda lid=lease_id, u=uid, s=status, v=value,
+                            d=duration, j=job: self._report(lid, u, s, v, d, j) or {}
+                        ) is None:
+                            return 0
         except ShardProtocolError:
             return 1

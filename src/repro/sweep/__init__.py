@@ -7,11 +7,11 @@ limits at once:
 
 * :mod:`repro.sweep.runner` — :func:`build_grid` / :class:`SweepRunner`:
   fan a (target x clock x utilization x strategy x latency-target) grid
-  out across worker processes under a two-phase schedule: per-target
-  preparation (model fit + bundle selection on the FPGA backend, fit-free
-  prep on the GPU one; once per target, shipped as a
-  :class:`PreparedTarget`) followed by cost-ordered work-stealing
-  execution with per-task timeout, bounded retry and structured
+  out across one persistent pool of worker processes in two phases:
+  per-target preparation (model fit + bundle selection on the FPGA
+  backend, fit-free prep on the GPU one; once per target, shipped as a
+  :class:`PreparedTarget`) followed by cost-ordered execution with
+  per-task timeout, bounded retry and structured
   :class:`SweepFailure` records — one archivable journal per task.
   Targets span backends (see :mod:`repro.backend`): ``fpga:pynq-z1`` and
   ``gpu:jetson-tx2`` mix in one grid,

@@ -24,6 +24,15 @@ which keeps concurrent sweep workers from interleaving appends; reads scan
 every shard of the instance's namespace (shard file names are
 namespace-prefixed, so other devices' shards are never parsed), so workers
 still share each other's results on the next run.
+
+Parsing is memoized process-wide: a long-lived process (a sweep pool
+worker, a shard worker) opens a cache per cell and would otherwise decode
+the same shard lines again and again.  The memo is keyed by the raw line
+text, so content addressing alone keeps it correct — an appended,
+compacted, or deleted-and-recreated shard can never serve a stale record,
+and a line is applied in the same sorted-path/line order as a cold parse.
+It is a lock-guarded LRU of :data:`_PARSED_LINES_CAPACITY` lines; torn or
+corrupt lines are never memoized.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ import pathlib
 import re
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
@@ -97,6 +107,78 @@ def _estimate_from_payload(payload: dict) -> Optional[PerformanceEstimate]:
         )
     except (KeyError, TypeError, ValueError):
         return None
+
+
+#: Bound of the process-wide parsed-line memo (lines).  Measured on the
+#: benchmark's skewed 36-cell sweep grid (``perfbench/workloads.py``): its
+#: warm cache directory holds 2,714 lines over three namespaces, and one
+#: memo entry costs about 1.4 KB (line text, parsed estimate, LRU slot;
+#: ``tracemalloc``), 3.7 MiB for the whole directory.  The bound keeps
+#: such a directory resident with 50% headroom — cells of different
+#: namespaces interleave, so a bound below the working set would make the
+#: LRU evict every line just before it is needed again — and caps the memo
+#: at about 5.7 MiB per process.  A directory above the bound gets almost
+#: no hits: the CLI's default grid over all three FPGAs and four strategies
+#: (36 cells) leaves 7,093 lines, and its warm 2-worker sweep took
+#: 2.8-3.1 s at this bound against 2.5 s with an unbounded memo.  A larger
+#: bound would buy that back with resident memory in long-lived shard
+#: workers, whose directories keep growing across jobs.
+_PARSED_LINES_CAPACITY = 4096
+
+#: Raw shard line -> ``(namespace, key, estimate)``, least recently used first.
+_parsed_lines: "OrderedDict[str, tuple[str, str, PerformanceEstimate]]" = OrderedDict()
+_parsed_lines_lock = threading.Lock()
+
+
+def _parse_line(line: str) -> Optional[tuple[str, str, PerformanceEstimate]]:
+    """``(namespace, key, estimate)`` of one valid record line, else ``None``.
+
+    Raises :class:`json.JSONDecodeError` for a torn / corrupt line.
+    """
+    record = json.loads(line)
+    if not isinstance(record, dict):
+        return None
+    namespace, key = record.get("namespace"), record.get("key")
+    estimate = _estimate_from_payload(record.get("estimate", {}))
+    if not isinstance(namespace, str) or not isinstance(key, str) or estimate is None:
+        return None
+    return namespace, key, estimate
+
+
+def _parsed_shard_lines(lines: Sequence[str]) -> tuple[list, int]:
+    """Parse stripped shard lines through the memo; returns (entries, corrupt).
+
+    ``entries`` holds one ``(namespace, key, estimate)`` per valid line, in
+    line order.  Lookups and inserts hold the lock; the JSON decoding of
+    unseen lines runs outside it.
+    """
+    with _parsed_lines_lock:
+        known = []
+        for line in lines:
+            entry = _parsed_lines.get(line)
+            if entry is not None:
+                _parsed_lines.move_to_end(line)
+            known.append(entry)
+    entries = []
+    fresh = {}
+    corrupt = 0
+    for line, entry in zip(lines, known):
+        if entry is None:
+            try:
+                entry = _parse_line(line)
+            except json.JSONDecodeError:  # torn write: skip the line
+                corrupt += 1
+                continue
+            if entry is None:
+                continue
+            fresh[line] = entry
+        entries.append(entry)
+    if fresh:
+        with _parsed_lines_lock:
+            _parsed_lines.update(fresh)
+            while len(_parsed_lines) > _PARSED_LINES_CAPACITY:
+                _parsed_lines.popitem(last=False)
+    return entries, corrupt
 
 
 class DiskEvaluationCache:
@@ -166,21 +248,11 @@ class DiskEvaluationCache:
                 lines = path.read_text().splitlines()
             except OSError:  # pragma: no cover - unreadable shard
                 continue
-            corrupt = 0
-            for line in lines:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:  # torn write: skip the line
-                    corrupt += 1
-                    continue
-                if not isinstance(record, dict) or record.get("namespace") != self.namespace:
-                    continue
-                estimate = _estimate_from_payload(record.get("estimate", {}))
-                key = record.get("key")
-                if estimate is not None and isinstance(key, str):
+            entries, corrupt = _parsed_shard_lines(
+                [line for line in map(str.strip, lines) if line]
+            )
+            for namespace, key, estimate in entries:
+                if namespace == self.namespace:
                     self._store[key] = estimate
                     loaded += 1
             if corrupt:

@@ -10,24 +10,27 @@ executor here.  Every ingredient of a task is a picklable primitive
 devices, estimators and flows on its side), which keeps the fan-out
 start-method agnostic.
 
-Execution is a **two-phase schedule**:
+Execution has two phases:
 
 1. **Preparation** — the per-device analytical-model fit (co-design step 1)
    and bundle selection (step 2) are deterministic per (device, clock,
    utilization, top-bundles) and independent of the strategy / latency
-   target, so they run *once per device* in the parent and are shipped to
-   workers as a serializable :class:`PreparedTarget` artifact instead of
-   being recomputed in every grid cell.
-2. **Execution** — cells are dispatched longest-expected-first to a
-   work-stealing pool of single-task worker processes (``schedule="steal"``,
-   the default) or to a classic statically-chunked process pool
-   (``schedule="chunked"``).  Expected costs come from the previous run's
-   journal timings when a cache directory is given (``_timings.json``) and
-   fall back to a deterministic budget heuristic.
+   target, so they run *once per device* and are shipped to the cells as a
+   serializable :class:`PreparedTarget` artifact instead of being
+   recomputed in every grid cell.
+2. **Execution** — cells are dispatched longest-expected-first.  Expected
+   costs come from the previous run's journal timings when a cache
+   directory is given (``_timings.json``) and fall back to a deterministic
+   budget heuristic.
 
-The stealing scheduler owns each worker process, so it can enforce a
-per-task wall-clock **timeout**, kill the stuck process and **retry** the
-cell a bounded number of times.  A cell that keeps failing (timeout, raise,
+With ``workers=1`` and no timeout both phases run in-process (the
+reference path).  Otherwise one persistent :class:`~repro.sweep.pool.
+WorkerPool` of ``min(workers, cells)`` processes serves the whole run:
+the preparations first, then the cells, each idle worker pulling the next
+cell in cost order.  The runner enforces a per-task wall-clock
+**timeout** on every cell, kills only the stuck worker (the next cell
+that needs its slot starts a replacement) and **retries** the cell a
+bounded number of times.  A cell that keeps failing (timeout, raise,
 crash or a garbage return value) ends up as a structured
 :class:`SweepFailure` in the :class:`SweepResult` — the sweep always
 completes and reports, it never hangs or silently drops cells.
@@ -36,9 +39,8 @@ Each task runs the remaining co-design pipeline (strategy-driven DNN
 search, Auto-HLS refinement) and produces a :class:`SweepOutcome`: the
 archivable :class:`~repro.search.session.SearchSession` journal plus cache
 and timing accounting.  A task's journal depends only on the task itself —
-never on the worker count, the schedule or the warmth of the disk cache —
-so ``workers=8`` and ``workers=1``, stealing and chunked, all produce
-identical journals.
+never on the worker count, which process ran it or the warmth of the disk
+cache — so ``workers=8`` and ``workers=1`` produce identical journals.
 
 When a cache directory is given, every worker layers the persistent
 :class:`~repro.sweep.disk_cache.DiskEvaluationCache` under its in-memory
@@ -70,13 +72,13 @@ from __future__ import annotations
 import os
 import pathlib
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Union
 
 import repro.telemetry as telemetry
 from repro.backend import backend_for, backend_name_for, resolve_targets
 from repro.search import available_strategies
+from repro.sweep.pool import WorkerPool
 from repro.utils.logging import get_logger
 from repro.utils.serialization import dump_json, load_json, to_jsonable
 
@@ -478,19 +480,6 @@ def prepare_device(task: SweepTask) -> PreparedTarget:
 prepare_target = prepare_device
 
 
-def _prepare_device_pooled(task: SweepTask) -> tuple:
-    """Pool-side preparation wrapper shipping the child's telemetry home.
-
-    Returns ``(artifact, metrics)`` where ``metrics`` is the child's
-    telemetry snapshot (``None`` when telemetry is disabled); the parent
-    merges it so pooled preparations are accounted like serial ones.
-    Module-level so it pickles under any start method.
-    """
-    telemetry.reset()
-    artifact = prepare_device(task)
-    return artifact, telemetry.snapshot()
-
-
 @dataclass
 class SweepOutcome:
     """Everything one sweep task produced (picklable, JSON-able)."""
@@ -516,6 +505,21 @@ class SweepOutcome:
         """Fraction of disk-layer requests served from disk (0 when unused)."""
         total = self.disk_hits + self.disk_misses
         return self.disk_hits / total if total else 0.0
+
+    def as_dict(self) -> dict:
+        """JSON view, equal to ``to_jsonable(self)``.
+
+        The journal is already pure JSON (see :func:`run_sweep_task`), so
+        it is shared as is instead of being walked again; every other field
+        goes through :func:`to_jsonable`.
+        """
+        payload = {
+            f.name: to_jsonable(getattr(self, f.name))
+            for f in dataclass_fields(self) if f.name != "journal"
+        }
+        payload["journal"] = self.journal
+        payload["__type__"] = type(self).__name__
+        return payload
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "SweepOutcome":
@@ -659,7 +663,7 @@ def _run_sweep_task(
         )
         flow.attach_evaluation_cache(EvaluationCache(disk))
 
-    # Journal metadata excludes worker count, schedule, preparation mode and
+    # Journal metadata excludes worker count, process, preparation mode and
     # cache warmth on purpose: the journal of a task must be identical
     # across execution modes.  The device value is the canonical device
     # string (== the legacy display name for FPGA cells, byte-identical).
@@ -730,7 +734,6 @@ class SweepResult:
     cache_dir: Optional[str] = None
     wall_time_s: float = 0.0
     failures: list[SweepFailure] = field(default_factory=list)
-    schedule: str = "steal"
     preparations: list[PreparedTarget] = field(default_factory=list)
     prep_time_s: float = 0.0
     #: Cells reused verbatim from a checkpoint / prior result (resume).
@@ -768,13 +771,12 @@ class SweepResult:
     def as_dict(self) -> dict:
         return {
             "workers": self.workers,
-            "schedule": self.schedule,
             "cache_dir": self.cache_dir,
             "wall_time_s": self.wall_time_s,
             "prep_time_s": self.prep_time_s,
             "reused": self.reused,
             "preparations": [prep.as_dict() for prep in self.preparations],
-            "outcomes": [to_jsonable(outcome) for outcome in self.outcomes],
+            "outcomes": [outcome.as_dict() for outcome in self.outcomes],
             "failures": [failure.as_dict() for failure in self.failures],
         }
 
@@ -789,9 +791,10 @@ class SweepResult:
         Outcomes and failures round-trip fully (journals included) and the
         loaded result can seed ``SweepRunner(resume_from=...)``.  Also
         accepts the ``{"sweep": ..., "comparison": ...}`` report files the
-        CLI writes.  ``preparations`` are *not* reconstructed: the fitted
-        coefficients are pickle-only and deliberately excluded from the
-        JSON view.
+        CLI writes, and files from older versions that still carry a
+        ``schedule`` key (ignored).  ``preparations`` are *not*
+        reconstructed: the fitted coefficients are pickle-only and
+        deliberately excluded from the JSON view.
         """
         payload = load_json(path)
         if not isinstance(payload, dict):
@@ -806,93 +809,35 @@ class SweepResult:
             cache_dir=payload.get("cache_dir"),
             wall_time_s=float(payload.get("wall_time_s", 0.0)),
             failures=[SweepFailure.from_dict(f) for f in payload.get("failures", [])],
-            schedule=str(payload.get("schedule", "steal")),
             prep_time_s=float(payload.get("prep_time_s", 0.0)),
             reused=int(payload.get("reused", 0)),
         )
-
-
-def _timed_call(task_fn, task, cache_dir, prepared) -> tuple:
-    """Pool-side wrapper: run one cell and report its wall-clock either way.
-
-    The chunked schedule cannot observe per-cell timing from the parent (a
-    pool future's latency includes queue wait), and a raised exception
-    carries no duration — so the worker measures it and ships
-    ``("ok", value, seconds, metrics)`` or ``("error", message, seconds,
-    metrics)`` back, where ``metrics`` is the worker's telemetry snapshot
-    (``None`` when telemetry is disabled) for the parent to merge.
-    Module-level so it pickles under any start method.
-    """
-    telemetry.reset()  # drop fork-inherited state; parent merges the snapshot
-    start = time.perf_counter()
-    try:
-        value = task_fn(task, cache_dir, prepared)
-    except Exception as exc:  # noqa: BLE001 - converted to a record
-        return ("error", f"{type(exc).__name__}: {exc}",
-                time.perf_counter() - start, telemetry.snapshot())
-    return ("ok", value, time.perf_counter() - start, telemetry.snapshot())
-
-
-def _dispatch_worker(conn, task_fn, task, cache_dir, prepared) -> None:
-    """Child-process entry of the stealing scheduler: run, then report.
-
-    The payload's third element is the worker's telemetry snapshot
-    (``None`` when telemetry is disabled), merged into the parent registry;
-    shipping it out-of-band keeps :class:`SweepOutcome` — and therefore the
-    checkpoint bytes — independent of whether telemetry is on.
-    """
-    telemetry.reset()  # drop fork-inherited state; parent merges the snapshot
-    try:
-        result = task_fn(task, cache_dir, prepared)
-        payload = ("ok", result, telemetry.snapshot())
-    except BaseException as exc:  # noqa: BLE001 - reported to the parent
-        payload = ("error", f"{type(exc).__name__}: {exc}", telemetry.snapshot())
-    try:
-        conn.send(payload)
-    except Exception as exc:  # unpicklable result: report instead of dying
-        try:
-            conn.send(("error", f"unpicklable task result: {exc!r}", None))
-        except Exception:  # pragma: no cover - pipe already gone
-            pass
-    finally:
-        conn.close()
-
-
-class _Attempt:
-    """Parent-side bookkeeping of one in-flight worker process."""
-
-    __slots__ = ("process", "conn", "started", "attempt")
-
-    def __init__(self, process, conn, attempt: int) -> None:
-        self.process = process
-        self.conn = conn
-        self.started = time.monotonic()
-        self.attempt = attempt
 
 
 class SweepRunner:
     """Fan a sweep grid out across worker processes, resiliently.
 
     ``workers=1`` (without a timeout) runs every task in-process (serial,
-    easiest to debug); otherwise cells run in worker processes under one of
-    two schedules:
-
-    * ``"steal"`` (default) — a work-stealing pool of single-task
-      processes: cells are dispatched longest-expected-first, an idle slot
-      immediately pulls the next cell, and each attempt runs under the
-      per-task wall-clock ``timeout_s`` with up to ``retries`` retries.
-    * ``"chunked"`` — the classic static process-pool map; kept for
-      comparison and as the determinism baseline.  It cannot kill a stuck
-      worker, so combining it with ``timeout_s`` is rejected.
+    easiest to debug, the reference path).  Otherwise one persistent
+    :class:`~repro.sweep.pool.WorkerPool` serves the run: at most
+    ``min(workers, cells)`` worker processes, each started when a job
+    first needs it and kept until the run ends.  The preparations run on
+    those workers first; then idle workers pull cells longest-expected-
+    first, each cell's :class:`PreparedTarget` travelling in its dispatch
+    message.  Every attempt runs under the cell's wall-clock
+    ``timeout_s`` with up to ``retries`` retries; a worker that overruns
+    its deadline, or dies, is replaced without touching the others, so
+    the other workers keep their warm per-process state (the estimator's
+    group statics, imports, and the disk cache's memo of parsed shard
+    lines — a process-wide LRU bounded by an internal constant, see
+    :mod:`repro.sweep.disk_cache`).
 
     Preparation (model fit + bundle selection) runs once per unique
-    :attr:`SweepTask.prep_key` — fanned across a process pool when
-    ``workers > 1`` and several preparations are needed — and is shipped
-    to workers (see :class:`PreparedTarget`); pass
-    ``share_preparation=False`` to restore the per-cell behaviour.
-    Results are collected in task order in every mode, and each task's
-    journal is independent of the execution mode, so all modes are
-    interchangeable.
+    :attr:`SweepTask.prep_key` and is shipped to the cells (see
+    :class:`PreparedTarget`); pass ``share_preparation=False`` to restore
+    the per-cell behaviour.  Results are collected in task order in every
+    mode, and each task's journal is independent of the execution mode,
+    so all modes are interchangeable.
 
     ``resume_from`` accepts a checkpoint file (``_checkpoint.jsonl``), a
     saved result JSON (:meth:`SweepResult.save`, or the CLI's report
@@ -910,13 +855,14 @@ class SweepRunner:
     ordered cell indices still to run and returns
     ``(outcomes_by_index, failures_by_index)``, streaming each settled
     cell through ``runner.settle_outcome`` / ``runner.settle_failure`` so
-    the incremental checkpoint stays live.  ``transport=None`` (the
-    default) keeps the built-in local schedules;
+    the incremental checkpoint stays live.  A transport whose ``local``
+    attribute is true runs the cells here (through
+    :meth:`execute_locally`), so the run's pool serves its preparations
+    too; any other transport gets in-process preparations.
+    ``transport=None`` (the default) is the local execution;
     :class:`repro.shard.CoordinatorTransport` serves the same cells to
     remote workers over HTTP instead.
     """
-
-    SCHEDULES = ("steal", "chunked")
 
     #: Upper bound on one exponential retry-backoff delay (seconds).
     MAX_BACKOFF_S = 60.0
@@ -934,7 +880,6 @@ class SweepRunner:
         workers: int = 1,
         cache_dir: Optional[str] = None,
         *,
-        schedule: str = "steal",
         timeout_s: Optional[float] = None,
         timeout_scale: float = 3.0,
         retries: int = 1,
@@ -950,8 +895,6 @@ class SweepRunner:
             raise ValueError("At least one sweep task is required")
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if schedule not in self.SCHEDULES:
-            raise ValueError(f"schedule must be one of {self.SCHEDULES}, got '{schedule}'")
         if timeout_s is not None and timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
         if timeout_scale <= 0:
@@ -960,11 +903,6 @@ class SweepRunner:
             raise ValueError("retries must be >= 0")
         if retry_backoff_s < 0:
             raise ValueError("retry_backoff_s must be >= 0")
-        if schedule == "chunked" and timeout_s is not None:
-            raise ValueError(
-                "per-task timeouts require the work-stealing schedule "
-                "(a chunked pool cannot kill a stuck worker)"
-            )
         seen: set[str] = set()
         for task in tasks:
             if task.uid in seen:
@@ -976,7 +914,6 @@ class SweepRunner:
         self.tasks = list(tasks)
         self.workers = workers
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
-        self.schedule = schedule
         self.timeout_s = timeout_s
         self.timeout_scale = timeout_scale
         self.retries = retries
@@ -998,9 +935,11 @@ class SweepRunner:
         #: checkpoint ``ts`` values.
         self.clock = clock
         # Per-run state (filled by run()): effective per-index timeouts, the
-        # incremental checkpoint writer and the parsed resume source.
+        # incremental checkpoint writer, the worker pool and the parsed
+        # resume source.
         self._timeouts: dict[int, Optional[float]] = {}
         self._writer = None
+        self._pool: Optional[WorkerPool] = None
         self._resume_checkpoint: Optional[tuple[pathlib.Path, set[str]]] = None
 
     # ------------------------------------------------------------ cost hints
@@ -1177,38 +1116,43 @@ class SweepRunner:
             kind=failure.kind, attempts=failure.attempts,
         )
 
-    # Internal spellings kept for the built-in schedules.
-    _settled_outcome = settle_outcome
-    _settled_failure = settle_failure
-
     def effective_timeout_for(self, index: int) -> Optional[float]:
         """The hint-scaled per-cell timeout computed for this run (or None)."""
         return self._timeouts.get(index, self.timeout_s)
 
     # ----------------------------------------------------------- preparation
     def _prepare_devices(self, tasks: Sequence[SweepTask]) -> dict[tuple, PreparedTarget]:
-        """One :func:`prepare_device` per unique prep key, pooled when useful.
+        """One :func:`prepare_device` per unique prep key, on the pool if any.
 
-        With several distinct preparation cells and a multi-worker budget,
-        the (CPU-bound, independent) model fits fan out across a process
-        pool instead of running serially in the parent; the artifacts come
-        back bit-exact because they are pickled, not re-derived.
+        With a worker pool the (CPU-bound, independent) model fits run on
+        its workers, which also leaves each device's estimator statics warm
+        there; the artifacts come back bit-exact because they are pickled,
+        not re-derived.  A failed preparation raises its own exception, as
+        in-process (a :class:`RuntimeError` with its text when the exception
+        cannot cross the pipe, or when the worker died).
         """
         unique: dict[tuple, SweepTask] = {}
         for task in tasks:
             unique.setdefault(task.prep_key, task)
-        if self.workers > 1 and len(unique) > 1:
-            representatives = list(unique.values())
-            with ProcessPoolExecutor(
-                max_workers=min(self.workers, len(representatives))
-            ) as pool:
-                shipped = list(pool.map(_prepare_device_pooled, representatives))
-            artifacts = []
-            for artifact, worker_metrics in shipped:
-                telemetry.merge(worker_metrics)
-                artifacts.append(artifact)
-            return dict(zip(unique.keys(), artifacts))
-        return {key: prepare_device(task) for key, task in unique.items()}
+        pool = self._pool
+        if pool is None:
+            return {key: prepare_device(task) for key, task in unique.items()}
+        queue = list(unique)
+        artifacts: dict[tuple, PreparedTarget] = {}
+        while queue or pool.running():
+            while queue and pool.free:
+                key = queue.pop(0)
+                pool.submit(key, "prep", unique[key])
+            for key, status, value, _seconds, metrics in pool.wait(None):
+                telemetry.merge(metrics)
+                if status == "error" and isinstance(value, BaseException):
+                    raise value
+                if status != "ok":
+                    raise RuntimeError(
+                        f"preparation of {unique[key].device} failed ({status}): {value}"
+                    )
+                artifacts[key] = value
+        return {key: artifacts[key] for key in unique}
 
     # -------------------------------------------------------------- telemetry
     def _open_telemetry_sink(self):
@@ -1257,6 +1201,9 @@ class SweepRunner:
             self._record_run_telemetry(result)
             return result
         finally:
+            if self._pool is not None:
+                self._pool.close()
+                self._pool = None
             if sink is not None:
                 telemetry.set_sink(None)
 
@@ -1265,6 +1212,10 @@ class SweepRunner:
 
         reused = self._load_resume()
         to_run = [i for i in range(len(self.tasks)) if i not in reused]
+        local = getattr(self.transport, "local", self.transport is None)
+        if to_run and local and (self.workers > 1 or self.timeout_s is not None):
+            # Closed by run(), so a raise in any phase still stops the workers.
+            self._pool = WorkerPool(self.task_fn, min(self.workers, len(to_run)))
 
         preparations: dict[tuple, PreparedTarget] = {}
         if self.share_preparation and to_run:
@@ -1291,12 +1242,9 @@ class SweepRunner:
             elif self.transport is not None:
                 outcomes_by_index, failures_by_index = \
                     self.transport.execute(self, order, preparations)
-            elif self.workers == 1 and self.timeout_s is None:
-                outcomes_by_index, failures_by_index = self._run_serial(to_run, preparations)
-            elif self.schedule == "chunked":
-                outcomes_by_index, failures_by_index = self._run_chunked(to_run, preparations)
             else:
-                outcomes_by_index, failures_by_index = self._run_stealing(order, preparations)
+                outcomes_by_index, failures_by_index = \
+                    self.execute_locally(order, preparations)
         finally:
             self._writer = None
 
@@ -1319,11 +1267,16 @@ class SweepRunner:
             cache_dir=self.cache_dir,
             wall_time_s=wall,
             failures=failures,
-            schedule=self.schedule,
             preparations=list(preparations.values()),
             prep_time_s=prep_time,
             reused=len(reused),
         )
+
+    def execute_locally(self, order, preparations):
+        """Run ``order`` on this run's pool, or in-process without one."""
+        if self._pool is None:
+            return self._run_serial(sorted(order), preparations)
+        return self._run_pool(order, preparations)
 
     def _prepared_for(
         self, task: SweepTask, preparations: Mapping[tuple, PreparedTarget]
@@ -1362,14 +1315,14 @@ class SweepRunner:
                     if outcome is not None:
                         outcome.attempts = attempt
                         outcomes[index] = outcome
-                        self._settled_outcome(outcome)
+                        self.settle_outcome(outcome)
                         break
                 if attempt > self.retries:
                     failures[index] = SweepFailure(
                         task=task, kind=verdict[0], error=verdict[1],
                         attempts=attempt, duration_s=elapsed,
                     )
-                    self._settled_failure(failures[index])
+                    self.settle_failure(failures[index])
                 else:
                     telemetry.event("sweep.cell.retry", uid=task.uid,
                                     attempt=attempt, kind=verdict[0])
@@ -1377,120 +1330,21 @@ class SweepRunner:
                                    task.name, attempt, verdict[1])
         return outcomes, failures
 
-    def _run_chunked(self, indices, preparations):
-        """Static chunked process-pool map (no timeout enforcement)."""
-        from concurrent.futures.process import BrokenProcessPool
+    def _run_pool(self, order, preparations):
+        """Cost-ordered dispatch onto the worker pool, with timeout kill and retry.
 
-        outcomes: dict[int, SweepOutcome] = {}
-        failures: dict[int, SweepFailure] = {}
-        attempts = dict.fromkeys(indices, 0)
-        spent = dict.fromkeys(indices, 0.0)
-        remaining = list(indices)
-        rounds_done = 0
-        while remaining:
-            if rounds_done:  # a retry round: deterministic exponential backoff
-                time.sleep(self._backoff_delay(rounds_done))
-            rounds_done += 1
-            # Fresh pool per round: a worker that dies hard (segfault,
-            # OOM-kill) breaks the whole executor, and a broken pool rejects
-            # further submits — the retry round must not inherit it.
-            broken: list[int] = []
-            with ProcessPoolExecutor(max_workers=min(self.workers, len(remaining))) as pool:
-                futures = {
-                    pool.submit(
-                        _timed_call, self.task_fn, self.tasks[index], self.cache_dir,
-                        self._prepared_for(self.tasks[index], preparations),
-                    ): index
-                    for index in remaining
-                }
-                next_round: list[int] = []
-                # Consume in completion order, not submission order: the
-                # checkpoint must record each cell the moment it settles,
-                # or a kill while one slow cell blocks the loop would lose
-                # every finished-but-unconsumed cell.
-                for future in as_completed(futures):
-                    index = futures[future]
-                    task = self.tasks[index]
-                    attempts[index] += 1
-                    worker_metrics = None
-                    try:
-                        status, value, duration, worker_metrics = future.result()
-                    except BrokenProcessPool:
-                        # One dying worker poisons every in-flight future of
-                        # the pool; the blame cannot be attributed here, so
-                        # the round does not count as an attempt for anyone
-                        # and the affected cells rerun isolated (below).
-                        attempts[index] -= 1
-                        broken.append(index)
-                        continue
-                    except Exception as exc:  # unpicklable result, pool error
-                        status, value, duration = \
-                            "error", f"{type(exc).__name__}: {exc}", 0.0
-                    telemetry.merge(worker_metrics)
-                    spent[index] += duration
-                    if status == "ok":
-                        outcome, verdict = self._classify(value)
-                    else:
-                        outcome, verdict = None, ("error", str(value))
-                    if outcome is not None:
-                        outcome.attempts = attempts[index]
-                        outcomes[index] = outcome
-                        self._settled_outcome(outcome)
-                    elif attempts[index] <= self.retries:
-                        telemetry.event("sweep.cell.retry", uid=task.uid,
-                                        attempt=attempts[index], kind=verdict[0])
-                        logger.warning("task %s attempt %d failed (%s); retrying",
-                                       task.name, attempts[index], verdict[1])
-                        next_round.append(index)
-                    else:
-                        failures[index] = SweepFailure(
-                            task=task, kind=verdict[0], error=verdict[1],
-                            attempts=attempts[index], duration_s=spent[index],
-                        )
-                        self._settled_failure(failures[index])
-                remaining = sorted(next_round)
-            if broken:
-                # Per-task process isolation attributes the crash to the
-                # actual culprit instead of failing innocent cells.
-                unresolved = sorted(broken + remaining)
-                logger.warning(
-                    "chunked pool broke (worker died); isolating %d remaining "
-                    "cell(s) in per-task processes", len(unresolved),
-                )
-                iso_outcomes, iso_failures = self._run_stealing(
-                    unresolved, preparations, attempts=attempts, spent=spent,
-                )
-                outcomes.update(iso_outcomes)
-                failures.update(iso_failures)
-                break
-        return outcomes, failures
-
-    def _run_stealing(self, order, preparations, attempts=None, spent=None):
-        """Cost-ordered work-stealing pool with timeout kill and retry.
-
-        ``order`` lists the task indices to run (dispatch order);
-        ``attempts`` and ``spent`` optionally carry attempt counts and
-        wall-clock already consumed (used when the chunked schedule
-        degrades to isolated dispatch — losing them would undercount the
-        failure records and the persisted cost hints).  Retried cells
-        re-enter the queue after a deterministic exponential backoff, and
-        each cell runs under its own effective timeout (``timeout_s``
+        ``order`` lists the task indices to run (dispatch order).  Retried
+        cells re-enter the queue after a deterministic exponential backoff,
+        and each cell runs under its own effective timeout (``timeout_s``
         floor, scaled from the recorded cost hint).
         """
-        import multiprocessing
-        from multiprocessing import connection as mp_connection
-
-        ctx = multiprocessing.get_context()
+        pool = self._pool
         pending = list(order)
-        if attempts is None:
-            attempts = dict.fromkeys(order, 0)
-        if spent is None:
-            spent = dict.fromkeys(order, 0.0)
+        attempts = dict.fromkeys(order, 0)
+        spent = dict.fromkeys(order, 0.0)
         ready_at: dict[int, float] = {}
-        running: dict[int, _Attempt] = {}
         outcomes: dict[int, SweepOutcome] = {}
         failures: dict[int, SweepFailure] = {}
-        max_slots = min(self.workers, len(order))
 
         def settle(index: int, verdict: tuple[str, str]) -> None:
             """Retry the cell (after backoff) or record the failure."""
@@ -1509,106 +1363,62 @@ class SweepRunner:
                     task=task, kind=verdict[0], error=verdict[1],
                     attempts=attempts[index], duration_s=spent[index],
                 )
-                self._settled_failure(failures[index])
+                self.settle_failure(failures[index])
 
-        def reap(index: int) -> _Attempt:
-            state = running.pop(index)
-            spent[index] += time.monotonic() - state.started
-            state.conn.close()
-            return state
+        while pending or pool.running():
+            now = time.monotonic()
+            while pending and pool.free:
+                # First queued cell whose backoff window has passed.
+                position = next(
+                    (p for p, i in enumerate(pending) if ready_at.get(i, 0.0) <= now),
+                    None,
+                )
+                if position is None:
+                    break
+                index = pending.pop(position)
+                attempts[index] += 1
+                task = self.tasks[index]
+                pool.submit(index, "cell", task, self.cache_dir,
+                            self._prepared_for(task, preparations))
+                telemetry.event("sweep.cell.dispatch", uid=task.uid,
+                                attempt=attempts[index])
 
-        try:
-            while pending or running:
-                now = time.monotonic()
-                while pending and len(running) < max_slots:
-                    # First queued cell whose backoff window has passed.
-                    position = next(
-                        (p for p, i in enumerate(pending)
-                         if ready_at.get(i, 0.0) <= now),
-                        None,
-                    )
-                    if position is None:
-                        break
-                    index = pending.pop(position)
-                    attempts[index] += 1
-                    task = self.tasks[index]
-                    parent_conn, child_conn = ctx.Pipe(duplex=False)
-                    process = ctx.Process(
-                        target=_dispatch_worker,
-                        args=(child_conn, self.task_fn, task, self.cache_dir,
-                              self._prepared_for(task, preparations)),
-                        daemon=True,
-                    )
-                    process.start()
-                    child_conn.close()
-                    running[index] = _Attempt(process, parent_conn, attempts[index])
-                    telemetry.event("sweep.cell.dispatch", uid=task.uid,
-                                    attempt=attempts[index])
+            backing_off = [i for i in pending if ready_at.get(i, 0.0) > now]
+            if not pool.running():
+                # Every queued cell is inside its backoff window: sleep to
+                # the earliest release instead of spinning.
+                soonest = min(ready_at[i] for i in backing_off)
+                time.sleep(max(min(soonest - now, 1.0), 0.005))
+                continue
 
-                backing_off = [i for i in pending if ready_at.get(i, 0.0) > now]
-                if not running:
-                    # Every queued cell is inside its backoff window: sleep to
-                    # the earliest release instead of spinning.
-                    soonest = min(ready_at[i] for i in backing_off)
-                    time.sleep(max(min(soonest - now, 1.0), 0.005))
+            # Without a timeout (and with no backoff release to watch for)
+            # there is nothing to poll: block until a worker reports (or
+            # dies, which EOFs its pipe).
+            poll = self.timeout_s is not None or (backing_off and pool.free)
+            for index, status, value, seconds, metrics in pool.wait(
+                    0.05 if poll else None):
+                spent[index] += seconds
+                telemetry.merge(metrics)
+                if status == "ok":
+                    outcome, verdict = self._classify(value)
+                    if outcome is not None:
+                        outcome.attempts = attempts[index]
+                        outcomes[index] = outcome
+                        self.settle_outcome(outcome)
+                        continue
+                else:
+                    verdict = (status, str(value))
+                settle(index, verdict)
+
+            for index in pool.running():
+                limit = self._timeouts.get(index, self.timeout_s)
+                if limit is None or pool.elapsed(index) <= limit:
                     continue
-
-                # Without a timeout (and with no backoff release to watch for)
-                # there is nothing to poll: block until a worker reports (or
-                # dies, which EOFs its pipe).
-                poll = self.timeout_s is not None or (
-                    backing_off and len(running) < max_slots
-                )
-                ready = mp_connection.wait(
-                    [state.conn for state in running.values()],
-                    timeout=0.05 if poll else None,
-                )
-                ready_set = set(ready)
-                now = time.monotonic()
-                for index in list(running):
-                    state = running[index]
-                    limit = self._timeouts.get(index, self.timeout_s)
-                    # Re-poll before any timeout verdict: a result that
-                    # landed after the wait() snapshot must win over the
-                    # deadline, or a completed cell would be killed and
-                    # recorded as a timeout.
-                    if state.conn in ready_set or state.conn.poll():
-                        try:
-                            message = state.conn.recv()
-                            status, value = message[0], message[1]
-                            telemetry.merge(message[2] if len(message) > 2 else None)
-                        except (EOFError, OSError):
-                            # The worker died without reporting (crash/kill).
-                            reap(index).process.join(timeout=5.0)
-                            settle(index, ("crash", "worker process died without a result"))
-                            continue
-                        reap(index).process.join(timeout=5.0)
-                        if status == "ok":
-                            outcome, verdict = self._classify(value)
-                            if outcome is not None:
-                                outcome.attempts = attempts[index]
-                                outcomes[index] = outcome
-                                self._settled_outcome(outcome)
-                            else:
-                                settle(index, verdict)
-                        else:
-                            settle(index, ("error", str(value)))
-                    elif limit is not None and now - state.started > limit:
-                        state.process.terminate()
-                        state.process.join(timeout=1.0)
-                        if state.process.is_alive():  # pragma: no cover - hard kill
-                            state.process.kill()
-                            state.process.join(timeout=5.0)
-                        reap(index)
-                        telemetry.event("sweep.cell.timeout", uid=self.tasks[index].uid,
-                                        attempt=attempts[index], limit_s=limit)
-                        settle(index, (
-                            "timeout",
-                            f"exceeded the {limit:g}s per-task timeout",
-                        ))
-        finally:
-            for state in running.values():  # pragma: no cover - crash cleanup
-                state.process.terminate()
-                state.process.join(timeout=1.0)
-                state.conn.close()
+                seconds = pool.kill(index)
+                if seconds is None:
+                    continue  # its reply landed meanwhile; collected next round
+                spent[index] += seconds
+                telemetry.event("sweep.cell.timeout", uid=self.tasks[index].uid,
+                                attempt=attempts[index], limit_s=limit)
+                settle(index, ("timeout", f"exceeded the {limit:g}s per-task timeout"))
         return outcomes, failures

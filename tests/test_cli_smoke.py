@@ -48,7 +48,7 @@ class TestArgumentParsing:
     @pytest.mark.parametrize("argv", [
         ["frobnicate"],                               # unknown command
         ["search", "--strategy", "gradient-descent"],  # bad choice
-        ["sweep", "--schedule", "magic"],              # bad choice
+        ["sweep", "--schedule", "steal"],              # removed flag
         ["cache"],                                     # missing action
         ["cache", "stats"],                            # missing --cache-dir
         ["cache", "defrag", "--cache-dir", "x"],       # bad action
@@ -99,7 +99,7 @@ class TestCommandRuns:
         assert "Sweep: 1 tasks" in out
         assert "shared preparations" in out
         payload = json.loads(report.read_text())
-        assert payload["sweep"]["schedule"] == "steal"
+        assert "schedule" not in payload["sweep"]
         assert payload["sweep"]["failures"] == []
         assert payload["sweep"]["preparations"][0]["device"] == "PYNQ-Z1"
 
@@ -170,10 +170,6 @@ class TestCommandRuns:
                      "--clocks", "100", "--utilizations", "0.9"] + BUDGET)
         assert code == 0
         assert "PYNQ-Z1-scd-40fps-100MHz-u0.9" in capsys.readouterr().out
-
-    def test_sweep_rejects_timeout_with_chunked_schedule(self):
-        with pytest.raises(ValueError, match="work-stealing"):
-            main(["sweep", "--schedule", "chunked", "--timeout-s", "5"] + BUDGET)
 
     def test_cache_stats_on_empty_directory(self, tmp_path, capsys):
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0

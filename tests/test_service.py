@@ -180,6 +180,28 @@ class TestServiceLifecycle:
         finally:
             service.stop()
 
+    def test_heartbeat_for_a_finished_job_is_not_a_revocation(self, tmp_path):
+        """A lease of a job that settled is reported ``settled``; one of a
+        job this service does not know is ``revoked``."""
+        from repro.shard.protocol import PROTOCOL_VERSION
+
+        service = ServiceCoordinator(tmp_path / "root")
+        service.start()
+        try:
+            client = ServiceClient(service.url)
+            uid = client.submit(tiny_spec())["job"]
+            assert run_worker(service.url, tmp_path / "wcache") == 0
+            client.wait(uid, timeout_s=60)
+            worker_id = post_json(service.url, "/v1/register", {
+                "name": "late", "version": PROTOCOL_VERSION})["worker_id"]
+            reply = post_json(service.url, "/v1/heartbeat", {
+                "worker_id": worker_id,
+                "lease_ids": [f"{uid}:l1", "j9999-unknown:l1"]})
+            assert reply["settled"] == [f"{uid}:l1"]
+            assert reply["revoked"] == ["j9999-unknown:l1"]
+        finally:
+            service.stop()
+
     def test_cancel_queued_job_settles_immediately(self, tmp_path):
         # max_active=1 and no worker: the first job camps on the admission
         # slot in "preparing", the second stays queued and cancels instantly.

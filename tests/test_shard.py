@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.hw.device import get_device
 from repro.shard import (
+    PROTOCOL_VERSION,
     CoordinatorTransport,
     LeaseBoard,
     ShardCoordinator,
@@ -231,9 +232,21 @@ class TestLeaseBoard:
         cell = board.lease(worker, 1)[0]
         for _ in range(3):
             time.sleep(0.15)
-            assert board.heartbeat(worker, [cell.lease_id]) == []
+            assert board.heartbeat(worker, [cell.lease_id]) == ([], [])
             assert board.expire_leases() == 0
-        assert board.heartbeat(worker, ["l999"]) == ["l999"]
+        assert board.heartbeat(worker, ["l999"]) == ([], ["l999"])
+
+    def test_heartbeat_after_report_calls_the_lease_settled(self):
+        """A heartbeat snapshot taken just before its report landed carries
+        an already-settled lease: that is no revocation."""
+        tasks = self.tasks(2)
+        board = make_board(tasks)
+        worker = board.register("a")
+        done, busy = board.lease(worker, 2)
+        reported = done.lease_id
+        assert board.report(worker, reported, done.task.uid,
+                            outcome=fake_outcome(done.task))[0]
+        assert board.heartbeat(worker, [reported, busy.lease_id]) == ([reported], [])
 
     def test_cell_deadline_overrides_live_heartbeat(self):
         """A stalled cell is requeued even while its worker heartbeats."""
@@ -242,11 +255,11 @@ class TestLeaseBoard:
                            timeouts={0: 0.05})
         worker = board.register("staller")
         lease_id = board.lease(worker, 1)[0].lease_id
-        assert board.heartbeat(worker, [lease_id]) == []
+        assert board.heartbeat(worker, [lease_id]) == ([], [])
         time.sleep(0.08)
         # The heartbeat itself runs the reaper: the stalled cell is revoked
         # even though its worker is demonstrably alive.
-        assert board.heartbeat(worker, [lease_id]) == [lease_id]
+        assert board.heartbeat(worker, [lease_id]) == ([], [lease_id])
         assert board.done
         assert board.failures[0].kind == "timeout"
 
@@ -343,7 +356,8 @@ class TestCoordinatorHTTP:
         stop, thread = serve(coordinator)
         try:
             url = coordinator.url
-            registration = post_json(url, "/v1/register", {"name": "t", "version": 1})
+            registration = post_json(url, "/v1/register",
+                                     {"name": "t", "version": PROTOCOL_VERSION})
             worker_id = registration["worker_id"]
             assert registration["grid_size"] == 1
 
@@ -365,7 +379,8 @@ class TestCoordinatorHTTP:
             heartbeat = post_json(url, "/v1/heartbeat",
                                   {"worker_id": worker_id,
                                    "lease_ids": [cell["lease_id"]]})
-            assert heartbeat == {"ok": True, "lost": [], "done": False}
+            assert heartbeat == {"ok": True, "settled": [], "revoked": [],
+                                 "done": False}
 
             outcome = run_sweep_task(tasks[0], prepared=prepared)
             report = post_json(url, "/v1/report", {
@@ -394,6 +409,9 @@ class TestCoordinatorHTTP:
                 post_json(url, "/v1/nope", {})
             with pytest.raises(ShardProtocolError, match="protocol v99"):
                 post_json(url, "/v1/register", {"name": "x", "version": 99})
+            # A v1 worker would read the heartbeat's retired ``lost`` key.
+            with pytest.raises(ShardProtocolError, match="protocol v1,"):
+                post_json(url, "/v1/register", {"name": "x", "version": 1})
             # The server survived all of it.
             assert get_json(url, "/v1/status")["cells"] == 1
         finally:
@@ -583,6 +601,17 @@ class TestTransportWiring:
         worker = ShardWorker("127.0.0.1:9", workers=1,
                              max_connect_failures=2, reconnect_delay_s=0.01)
         assert worker.run() == 1
+
+    def test_heartbeat_warns_only_on_revoked_leases(self, caplog):
+        worker = ShardWorker("127.0.0.1:9", workers=1)
+        with caplog.at_level("WARNING", logger="repro.shard.worker"):
+            worker._on_heartbeat({"ok": True, "settled": ["l1"], "revoked": [],
+                                  "done": False})
+            assert not caplog.records, "a settled lease is the healthy race"
+            worker._on_heartbeat({"ok": True, "settled": [], "revoked": ["l2"],
+                                  "done": False})
+        assert len(caplog.records) == 1
+        assert "revoked lease(s) l2" in caplog.records[0].getMessage()
 
     def test_execute_cell_classifies_errors(self):
         from repro.shard import execute_cell

@@ -300,6 +300,18 @@ class TestSweepRunner:
         assert [o.task for o in pooled.outcomes] == tasks, "task order preserved"
         assert pooled.workers == 2 and len(pooled) == len(tasks)
 
+    def test_journals_identical_across_pool_widths_on_mixed_grid(self, tmp_path):
+        """The in-process run and pools of 2 and 3 workers write the same
+        journal bytes for every cell of a mixed FPGA + GPU grid."""
+        tasks = build_grid("fpga:pynq-z1,gpu:jetson-tx2", "scd,random", [40.0], **TINY)
+        dumps = []
+        for workers in (1, 2, 3):
+            result = SweepRunner(tasks, workers=workers,
+                                 cache_dir=tmp_path / f"w{workers}").run()
+            assert result.ok
+            dumps.append([json.dumps(o.journal, sort_keys=True) for o in result.outcomes])
+        assert dumps[0] == dumps[1] == dumps[2]
+
     def test_warm_disk_cache_skips_every_estimator_call(self, tmp_path):
         tasks = build_grid("pynq-z1", "scd,random", [40.0], **TINY)
         cold = SweepRunner(tasks, workers=1, cache_dir=tmp_path).run()
@@ -767,16 +779,15 @@ class TestCostOrdering:
 class TestRunnerOptions:
     def test_schedule_and_timeout_validation(self):
         tasks = build_grid("pynq-z1", "scd", [40.0], **TINY)
-        with pytest.raises(ValueError, match="schedule"):
-            SweepRunner(tasks, schedule="magic")
+        # One pool serves every parallel run: there is no schedule to pick.
+        with pytest.raises(TypeError, match="schedule"):
+            SweepRunner(tasks, schedule="chunked")
         with pytest.raises(ValueError, match="timeout_s"):
             SweepRunner(tasks, timeout_s=0.0)
         with pytest.raises(ValueError, match="retries"):
             SweepRunner(tasks, retries=-1)
-        with pytest.raises(ValueError, match="work-stealing"):
-            SweepRunner(tasks, schedule="chunked", timeout_s=5.0)
 
-    def test_result_dict_includes_failures_and_schedule(self):
+    def test_result_dict_includes_failures(self):
         task = SweepTask(device="PYNQ-Z1", strategy="scd", fps=40.0)
         from repro.sweep import SweepResult
 
@@ -785,10 +796,9 @@ class TestRunnerOptions:
             workers=2,
             failures=[SweepFailure(task=task, kind="timeout",
                                    error="exceeded 1s", attempts=2)],
-            schedule="steal",
         )
         payload = json.loads(json.dumps(result.as_dict()))
-        assert payload["schedule"] == "steal"
+        assert "schedule" not in payload
         assert payload["failures"][0]["kind"] == "timeout"
         assert payload["failures"][0]["attempts"] == 2
         assert payload["failures"][0]["task"]["device"] == "PYNQ-Z1"

@@ -235,9 +235,13 @@ class TestCheckpointResume:
         loaded = SweepResult.load(result.save(tmp_path / "r.json"))
         assert canonical(loaded) == canonical(result)
         assert loaded.workers == result.workers
-        assert loaded.schedule == result.schedule
         assert json.dumps(loaded.outcomes[0].journal, sort_keys=True) \
             == json.dumps(result.outcomes[0].journal, sort_keys=True)
+        # Result files of older versions carry a "schedule" key; still loadable.
+        legacy = result.as_dict()
+        legacy["schedule"] = "chunked"
+        (tmp_path / "legacy.json").write_text(json.dumps(legacy))
+        assert canonical(SweepResult.load(tmp_path / "legacy.json")) == canonical(result)
 
     def test_load_accepts_cli_report_wrapper(self, tmp_path):
         from repro.utils.serialization import dump_json
@@ -295,6 +299,28 @@ def test_property_kill_at_k_resume_is_byte_identical(tmp_path_factory, seed,
 
 
 # ------------------------------------------------------ checkpoint robustness
+class TestOutcomeRecordBytes:
+    """Checkpoint records keep the bytes of the generic serializer."""
+
+    @pytest.mark.parametrize("device", ["fpga:pynq-z1", "gpu:jetson-tx2"])
+    def test_record_line_matches_to_jsonable(self, tmp_path, device):
+        from repro.utils.serialization import to_jsonable
+
+        task = build_grid(device, "scd", [40.0], **TINY)[0]
+        outcome = run_sweep_task(task)
+        path = tmp_path / CHECKPOINT_FILENAME
+        writer = CheckpointWriter(path, grid=[task.uid], clock=lambda: 1000.0)
+        writer.record_outcome(outcome)
+        expected = json.dumps({
+            "kind": "outcome",
+            "uid": task.uid,
+            "outcome": to_jsonable(outcome),
+            "ts": 1000.0,
+        }, sort_keys=True)
+        assert path.read_text().splitlines()[-1] == expected
+        assert outcome.as_dict() == to_jsonable(outcome)
+
+
 class TestCheckpointRobustness:
     def _checkpointed(self, tmp_path, tasks=None):
         tasks = tasks or build_grid("pynq-z1", "scd,random", [40.0], **TINY)
@@ -447,13 +473,13 @@ class TestFailureTimings:
         assert timings[tasks[1].uid] >= 0
         assert tasks[0].uid in timings
 
-    def test_chunked_failures_record_cost_hints_too(self, tmp_path, monkeypatch):
-        """The chunked pool cannot observe per-cell timing from the parent;
-        the worker-side wrapper must still ship a duration so failed cells
-        feed the cost model under every schedule."""
+    def test_pooled_failures_record_cost_hints_too(self, tmp_path, monkeypatch):
+        """A raise inside a pool worker carries no duration of its own; the
+        pool's dispatch-to-reply time must still reach the failure record,
+        so failed cells feed the cost model on the pooled path too."""
         tasks = build_grid("pynq-z1", "scd,random", [40.0], **TINY)
         monkeypatch.setenv(FAIL_TASKS_ENV, "PYNQ-Z1-random-40fps")
-        result = SweepRunner(tasks, workers=2, schedule="chunked",
+        result = SweepRunner(tasks, workers=2,
                              cache_dir=tmp_path, retries=0,
                              retry_backoff_s=0.0).run()
         assert not result.ok

@@ -84,12 +84,16 @@ def test_worker_count_invariance(tasks):
 @SETTINGS
 @given(tasks=grids)
 def test_schedule_invariance(tasks):
-    """Chunked and work-stealing schedules are interchangeable."""
-    stealing = SweepRunner(tasks, workers=2, schedule="steal").run()
-    chunked = SweepRunner(tasks, workers=2, schedule="chunked").run()
-    assert stealing.ok and chunked.ok
-    assert fingerprint(stealing) == fingerprint(chunked)
-    assert winners(stealing) == winners(chunked)
+    """The in-process schedule and the worker pool are interchangeable.
+
+    ``workers=1`` with a timeout runs on a pool of one worker process, so
+    this pits the in-process reference against the pool at equal width.
+    """
+    in_process = SweepRunner(tasks, workers=1).run()
+    pooled = SweepRunner(tasks, workers=1, timeout_s=300.0).run()
+    assert in_process.ok and pooled.ok
+    assert fingerprint(in_process) == fingerprint(pooled)
+    assert winners(in_process) == winners(pooled)
 
 
 @SETTINGS

@@ -11,9 +11,15 @@ from __future__ import annotations
 
 import json
 import logging
+import multiprocessing
+import multiprocessing.util
 import os
+import sys
+import time
 
 import pytest
+
+import repro.telemetry as telemetry
 
 from repro.sweep import (
     DiskEvaluationCache,
@@ -23,6 +29,9 @@ from repro.sweep import (
     compact_cache_dir,
     run_sweep_task,
 )
+from repro.sweep import disk_cache
+from repro.sweep import pool as pool_module
+from repro.sweep import runner as sweep_runner
 from repro.sweep.runner import FAIL_TASKS_ENV, STALL_TASKS_ENV
 
 TINY = dict(tolerance_ms=10.0, iterations=25, num_candidates=1, top_bundles=2, seed=1)
@@ -53,6 +62,63 @@ def _dying_task(task, cache_dir, prepared):
     """Simulates a segfault/OOM-kill: the worker exits without reporting."""
     if task.strategy == "random":
         os._exit(13)
+    return run_sweep_task(task, cache_dir, prepared)
+
+
+def _record_pid(task) -> str:
+    """Leave ``<strategy>.<pid>`` in ``REPRO_TEST_PID_DIR``; returns the dir."""
+    pid_dir = os.environ["REPRO_TEST_PID_DIR"]
+    with open(os.path.join(pid_dir, f"{task.strategy}.{os.getpid()}"), "w"):
+        pass
+    return pid_dir
+
+
+def _pids(pid_dir, strategy: str) -> set[int]:
+    prefix = f"{strategy}."
+    return {int(name[len(prefix):]) for name in os.listdir(pid_dir)
+            if name.startswith(prefix)}
+
+
+def _outlive_stalled_task(task, cache_dir, prepared):
+    """Records its pid; the ``random`` cell then waits until the stalled
+    ``scd`` cell's worker has been killed, so it is in flight at the kill."""
+    pid_dir = _record_pid(task)
+    if task.strategy == "random":
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            stalled = _pids(pid_dir, "scd")
+            if stalled and not any(_alive(pid) for pid in stalled):
+                break
+            time.sleep(0.01)
+    return run_sweep_task(task, cache_dir, prepared)
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _dying_once_task(task, cache_dir, prepared):
+    """The ``random`` cell's first attempt kills its worker process."""
+    pid_dir = _record_pid(task)
+    marker = os.path.join(pid_dir, "died")
+    if task.strategy == "random" and not os.path.exists(marker):
+        with open(marker, "w"):
+            pass
+        os._exit(13)
+    return run_sweep_task(task, cache_dir, prepared)
+
+
+def _exiting_task(task, cache_dir, prepared):
+    """The ``random`` 40 FPS cell calls ``sys.exit`` inside its worker."""
+    if task.strategy == "random" and task.fps == 40.0:
+        # Were the worker to exit, a slow teardown would hold its pipe open
+        # long enough for the next cell to be sent into it.
+        multiprocessing.util.Finalize(None, time.sleep, args=(0.5,), exitpriority=0)
+        sys.exit(3)
     return run_sweep_task(task, cache_dir, prepared)
 
 
@@ -102,7 +168,7 @@ class TestPoisonedCells:
         assert result.wall_time_s < 30.0, "the stalled cell must not hang the sweep"
 
     def test_timeout_with_single_worker_slot(self, monkeypatch):
-        # workers=1 plus a timeout routes through the stealing scheduler so
+        # workers=1 plus a timeout runs on a pool of one worker process so
         # the stuck process can still be killed.
         grid = build_grid("pynq-z1", "scd", [40.0], **TINY)
         monkeypatch.setenv(STALL_TASKS_ENV, "PYNQ-Z1-scd-40fps")
@@ -138,9 +204,11 @@ class TestPoisonedCells:
         assert by_name["PYNQ-Z1-scd-40fps"].attempts == 2
         assert by_name["PYNQ-Z1-random-40fps"].attempts == 1
 
-    @pytest.mark.parametrize("workers,schedule", [(1, "steal"), (2, "steal"), (2, "chunked")])
-    def test_garbage_result_yields_invalid_result_failure(self, grid, workers, schedule):
-        result = SweepRunner(grid, workers=workers, schedule=schedule,
+    @pytest.mark.parametrize("workers,timeout_s", [(1, None), (2, None), (1, 60.0)],
+                             ids=["1-serial", "2-subprocess-pool",
+                                  "1-subprocess-pool-with-timeout"])
+    def test_garbage_result_yields_invalid_result_failure(self, grid, workers, timeout_s):
+        result = SweepRunner(grid, workers=workers, timeout_s=timeout_s,
                              retries=0, share_preparation=False,
                              task_fn=_garbage_task).run()
         assert not result.outcomes
@@ -155,27 +223,203 @@ class TestPoisonedCells:
         assert result.failures[0].kind == "crash"
         assert result.failures[0].task.strategy == "random"
 
-    def test_crashed_worker_does_not_escape_chunked_schedule(self, grid):
-        """Regression: a hard-dying worker breaks the whole chunked pool
-        (poisoning every in-flight future). The runner must not raise
-        BrokenProcessPool out of run(), must not charge the broken round to
-        innocent cells, and must re-attribute the crash to the actual
-        culprit by degrading to per-task process isolation."""
-        result = SweepRunner(grid, workers=2, schedule="chunked",
-                             retries=1, task_fn=_dying_task).run()
-        assert [o.task.name for o in result.outcomes] == ["PYNQ-Z1-scd-40fps"], \
-            "the innocent cell must survive the broken pool"
-        assert len(result.failures) == 1
-        dying = result.failures[0]
-        assert dying.task.strategy == "random"
-        assert dying.kind == "crash"
-        assert dying.attempts == 2, "only real isolated executions count"
 
-    def test_chunked_schedule_records_raises_too(self, grid, monkeypatch):
-        monkeypatch.setenv(FAIL_TASKS_ENV, "PYNQ-Z1-random-40fps")
-        result = SweepRunner(grid, workers=2, schedule="chunked", retries=0).run()
-        assert [o.task.name for o in result.outcomes] == ["PYNQ-Z1-scd-40fps"]
-        assert result.failures[0].kind == "error"
+# ---------------------------------------------------------------- worker pool
+class TestWorkerPool:
+    """One persistent pool: a timeout or crash replaces only its worker."""
+
+    @pytest.fixture()
+    def pid_dir(self, tmp_path, monkeypatch):
+        directory = tmp_path / "pids"
+        directory.mkdir()
+        monkeypatch.setenv("REPRO_TEST_PID_DIR", str(directory))
+        return directory
+
+    def test_timeout_kills_only_the_stalled_worker(self, pid_dir, monkeypatch):
+        grid = build_grid("pynq-z1", "scd,random", [40.0], **TINY)
+        stalled, survivor = grid
+        monkeypatch.setenv(STALL_TASKS_ENV, stalled.name)
+        telemetry.enable(fresh=True)
+        try:
+            # The survivor's cost hint lifts its own timeout to 3 s (and
+            # orders it second), so only the stalled cell overruns.
+            result = SweepRunner(grid, workers=2, timeout_s=0.5, retries=1,
+                                 retry_backoff_s=0.0, cost_hints={survivor.uid: 1.0},
+                                 task_fn=_outlive_stalled_task).run()
+            started = telemetry.snapshot().counters["sweep.pool.workers_started"]
+        finally:
+            telemetry.disable()
+        assert [o.task.uid for o in result.outcomes] == [survivor.uid]
+        assert result.outcomes[0].attempts == 1, "the kill must not touch its worker"
+        failure = result.failures[0]
+        assert (failure.task.uid, failure.kind, failure.attempts) == \
+            (stalled.uid, "timeout", 2)
+        stalled_pids, survivor_pids = _pids(pid_dir, "scd"), _pids(pid_dir, "random")
+        assert len(stalled_pids) == 2, "the retry ran on a replacement worker"
+        assert len(survivor_pids) == 1 and not survivor_pids & stalled_pids
+        # Two slots plus one replacement for the killed worker.
+        assert started == len(stalled_pids | survivor_pids) == 3
+
+    def test_crash_is_retried_on_a_replacement_worker(self, pid_dir):
+        grid = build_grid("pynq-z1", "scd,random", [40.0], **TINY)
+        result = SweepRunner(grid, workers=2, retries=1, retry_backoff_s=0.0,
+                             task_fn=_dying_once_task).run()
+        assert result.ok
+        by_strategy = {o.task.strategy: o for o in result.outcomes}
+        assert by_strategy["random"].attempts == 2
+        assert by_strategy["scd"].attempts == 1
+        assert len(_pids(pid_dir, "random")) == 2, "retried in a new process"
+        clean = SweepRunner(grid, workers=1).run()
+        assert journal_dumps(result.outcomes) == journal_dumps(clean.outcomes)
+
+    def test_sys_exit_fails_only_its_own_cell(self):
+        # The exiting worker keeps serving: the next cell it pulls must not
+        # be charged a crash (retries=0 would make that a failure).
+        grid = build_grid("pynq-z1", "scd,random", [40.0, 30.0], **TINY)
+        exiting = next(t for t in grid if t.name == "PYNQ-Z1-random-40fps")
+        # Dispatched first, so every later cell could land on its worker.
+        result = SweepRunner(grid, workers=2, retries=0, task_fn=_exiting_task,
+                             cost_hints={exiting.uid: 1e3}).run()
+        assert [(f.task.name, f.kind) for f in result.failures] == \
+            [("PYNQ-Z1-random-40fps", "error")]
+        assert "SystemExit: 3" in result.failures[0].error
+        assert len(result.outcomes) == 3
+        clean = SweepRunner(grid, workers=1).run()
+        clean_journals = journal_dumps(clean.outcomes)
+        for name, journal in journal_dumps(result.outcomes).items():
+            assert journal == clean_journals[name]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_preparation_raises_its_own_exception(self, workers, monkeypatch):
+        def failing_prepare(task):
+            raise ValueError(f"no fit for {task.device}")
+
+        monkeypatch.setattr(sweep_runner, "prepare_device", failing_prepare)
+        grid = build_grid("pynq-z1", "scd,random", [40.0], **TINY)
+        with pytest.raises(ValueError, match="no fit for PYNQ-Z1"):
+            SweepRunner(grid, workers=workers).run()
+
+    def test_spawn_start_method(self, tmp_path, monkeypatch):
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(pool_module.multiprocessing, "get_context",
+                            lambda method=None: spawn)
+        grid = build_grid("pynq-z1", "scd,random", [40.0], **TINY)
+        spawned = SweepRunner(grid, workers=2, cache_dir=tmp_path).run()
+        serial = SweepRunner(grid, workers=1).run()
+        assert spawned.ok
+        assert journal_dumps(spawned.outcomes) == journal_dumps(serial.outcomes)
+
+
+# ---------------------------------------------------------- parsed-line memo
+class TestParsedLineMemo:
+    """The process-wide memo never changes what a cache loads."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        disk_cache._parsed_lines.clear()
+        yield
+        disk_cache._parsed_lines.clear()
+
+    @staticmethod
+    def cold_store(directory, device="PYNQ-Z1"):
+        """The store a memo-less parse builds (the memo emptied first)."""
+        disk_cache._parsed_lines.clear()
+        return dict(DiskEvaluationCache(_no_estimates, directory, device=device,
+                                        shard="reader")._store)
+
+    @staticmethod
+    def warm_store(directory, device="PYNQ-Z1"):
+        return dict(DiskEvaluationCache(_no_estimates, directory, device=device,
+                                        shard="reader")._store)
+
+    @staticmethod
+    def write_lines(path, records):
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+
+    def record(self, key, latency, namespace="PYNQ-Z1@100MHz"):
+        return {"namespace": namespace, "key": key, "ts": 1.0,
+                "estimate": {"latency_ms": latency, "compute_ms": 0.0,
+                             "data_movement_ms": 0.0,
+                             "resources": {"lut": 1.0, "ff": 2.0, "dsp": 3.0, "bram": 4.0}}}
+
+    def shard(self, directory, name="a"):
+        return directory / f"PYNQ-Z1_100MHz--{name}.jsonl"
+
+    def assert_memo_agrees(self, directory):
+        warm = self.warm_store(directory)
+        assert warm == self.cold_store(directory)
+        return warm
+
+    def test_appends_from_another_process(self, tmp_path):
+        self.write_lines(self.shard(tmp_path), [self.record("k1", 1.0)])
+        assert set(self.assert_memo_agrees(tmp_path)) == {"k1"}
+        process = multiprocessing.get_context().Process(
+            target=self.write_lines,
+            args=(self.shard(tmp_path), [self.record("k2", 2.0), self.record("k1", 9.0)]))
+        process.start()
+        process.join(timeout=30.0)
+        warm = self.assert_memo_agrees(tmp_path)
+        assert warm["k1"].latency_ms == 9.0, "the later line still wins"
+        assert warm["k2"].latency_ms == 2.0
+
+    def test_torn_tail_completed_later(self, tmp_path, caplog):
+        line = json.dumps(self.record("k2", 2.0), sort_keys=True)
+        self.write_lines(self.shard(tmp_path), [self.record("k1", 1.0)])
+        with open(self.shard(tmp_path), "a", encoding="utf-8") as handle:
+            handle.write(line[:25])
+        with caplog.at_level(logging.WARNING, logger="repro.sweep.disk_cache"):
+            assert set(self.warm_store(tmp_path)) == {"k1"}
+            assert set(self.warm_store(tmp_path)) == {"k1"}
+        assert sum("corrupt line" in r.message for r in caplog.records) == 2, \
+            "a torn line is never memoized: it warns on every load"
+        assert line[:25] not in disk_cache._parsed_lines
+        with open(self.shard(tmp_path), "a", encoding="utf-8") as handle:
+            handle.write(line[25:] + "\n")
+        # The torn fragment and its completion now form one valid line.
+        with open(self.shard(tmp_path), "r", encoding="utf-8") as handle:
+            assert handle.read().splitlines()[-1] == line
+        assert set(self.assert_memo_agrees(tmp_path)) == {"k1", "k2"}
+
+    def test_after_compaction(self, tmp_path):
+        self.write_lines(self.shard(tmp_path, "a"), [self.record("k1", 1.0)])
+        self.write_lines(self.shard(tmp_path, "b"),
+                         [self.record("k1", 1.0), self.record("k2", 2.0)])
+        before = self.warm_store(tmp_path)
+        compact_cache_dir(tmp_path)
+        assert self.assert_memo_agrees(tmp_path) == before
+
+    def test_shard_deleted_and_recreated_at_the_same_path(self, tmp_path):
+        self.write_lines(self.shard(tmp_path), [self.record("k1", 1.0)])
+        assert self.warm_store(tmp_path)["k1"].latency_ms == 1.0
+        self.shard(tmp_path).unlink()
+        self.write_lines(self.shard(tmp_path), [self.record("k1", 5.0)])
+        assert self.assert_memo_agrees(tmp_path)["k1"].latency_ms == 5.0
+
+    def test_other_namespace_lines_are_not_loaded(self, tmp_path):
+        self.write_lines(self.shard(tmp_path), [
+            self.record("k1", 1.0),
+            self.record("k1", 7.0, namespace="Ultra96@150MHz"),
+            self.record("k2", 2.0, namespace="Ultra96@150MHz"),
+        ])
+        warm = self.assert_memo_agrees(tmp_path)
+        assert set(warm) == {"k1"} and warm["k1"].latency_ms == 1.0
+
+    def test_memo_never_exceeds_its_bound(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(disk_cache, "_PARSED_LINES_CAPACITY", 5)
+        self.write_lines(self.shard(tmp_path),
+                         [self.record(f"k{i}", float(i)) for i in range(12)])
+        warm = self.warm_store(tmp_path)
+        assert len(disk_cache._parsed_lines) == 5
+        assert warm == self.cold_store(tmp_path)
+        assert len(disk_cache._parsed_lines) == 5
+        # The newest lines stay resident (least recently used go first).
+        assert [entry[1] for entry in disk_cache._parsed_lines.values()] == \
+            [f"k{i}" for i in range(7, 12)]
+
+
+def _no_estimates(config):
+    raise AssertionError("a memo test never estimates")
 
 
 # --------------------------------------------------------- corrupt cache dirs

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.shard import LeaseBoard, ShardCoordinator, get_json, post_json
+from repro.shard import PROTOCOL_VERSION, LeaseBoard, ShardCoordinator, get_json, post_json
 from repro.sweep import SweepRunner, build_grid, prepare_device
 from repro.sweep.checkpoint import (
     CHECKPOINT_FILENAME,
@@ -464,7 +464,8 @@ class TestCoordinatorMetricsEndpoint:
         stop, thread = serve(coordinator)
         try:
             url = coordinator.url
-            registration = post_json(url, "/v1/register", {"name": "t", "version": 1})
+            registration = post_json(url, "/v1/register",
+                                     {"name": "t", "version": PROTOCOL_VERSION})
             worker_id = registration["worker_id"]
             cell = post_json(url, "/v1/lease", {
                 "worker_id": worker_id, "slots": 1, "known_preps": [],
