@@ -178,6 +178,42 @@ def _add_token_arg(parser: argparse.ArgumentParser) -> None:
                              "(default: $REPRO_SERVICE_TOKEN; '' disables auth)")
 
 
+def _add_coordinator_args(parser: argparse.ArgumentParser) -> None:
+    """Listening and lease flags shared by ``shard coordinator`` and ``serve``."""
+    parser.add_argument("--bind", default="127.0.0.1:8765", metavar="HOST:PORT",
+                        help="address to listen on (0.0.0.0:PORT for all interfaces)")
+    parser.add_argument("--lease-ttl-s", type=_positive_float, default=30.0,
+                        help="requeue a cell when its worker misses heartbeats "
+                             "for this long")
+    parser.add_argument("--heartbeat-s", type=_positive_float, default=5.0,
+                        help="heartbeat period suggested to workers "
+                             "(must be below --lease-ttl-s)")
+    _add_token_arg(parser)
+
+
+def _coordinator_bind(args: argparse.Namespace, command: str) -> tuple[str, int] | None:
+    """The parsed ``--bind``, or ``None`` after printing a usage error.
+
+    Covers the cross-field checks argparse types cannot express, so they
+    fail as a usage error (exit 2), not a traceback.
+    """
+    from repro.shard.protocol import parse_bind
+
+    try:
+        bind = parse_bind(args.bind)
+    except ValueError as exc:
+        print(f"repro-codesign {command}: error: argument --bind: {exc}", file=sys.stderr)
+        return None
+    if args.heartbeat_s >= args.lease_ttl_s:
+        print(
+            f"repro-codesign {command}: error: argument --heartbeat-s: must be below "
+            f"--lease-ttl-s ({args.heartbeat_s:g} >= {args.lease_ttl_s:g})",
+            file=sys.stderr,
+        )
+        return None
+    return bind
+
+
 def _add_persistence_args(parser: argparse.ArgumentParser) -> None:
     """Cache / checkpoint / report args shared by ``sweep`` and the coordinator."""
     parser.add_argument("--resume", action="store_true",
@@ -264,15 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="own the grid: lease cells to workers, merge + checkpoint results",
         parents=[common],
     )
-    coordinator.add_argument("--bind", default="127.0.0.1:8765", metavar="HOST:PORT",
-                             help="address to listen on (0.0.0.0:PORT for all interfaces)")
-    coordinator.add_argument("--lease-ttl-s", type=_positive_float, default=30.0,
-                             help="requeue a cell when its worker misses heartbeats "
-                                  "for this long")
-    coordinator.add_argument("--heartbeat-s", type=_positive_float, default=5.0,
-                             help="heartbeat period suggested to workers "
-                                  "(must be below --lease-ttl-s)")
-    _add_token_arg(coordinator)
+    _add_coordinator_args(coordinator)
     _add_grid_args(coordinator)
     _add_resilience_args(coordinator)
     _add_persistence_args(coordinator)
@@ -319,18 +347,10 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--root", required=True, metavar="DIR",
                        help="service root directory (journal, per-job dirs, "
                             "shared estimator cache)")
-    serve.add_argument("--bind", default="127.0.0.1:8765", metavar="HOST:PORT",
-                       help="address to listen on (0.0.0.0:PORT for all interfaces)")
-    serve.add_argument("--lease-ttl-s", type=_positive_float, default=30.0,
-                       help="requeue a cell when its worker misses heartbeats "
-                            "for this long")
-    serve.add_argument("--heartbeat-s", type=_positive_float, default=5.0,
-                       help="heartbeat period suggested to workers "
-                            "(must be below --lease-ttl-s)")
+    _add_coordinator_args(serve)
     serve.add_argument("--max-active", type=_positive_int, default=4,
                        help="jobs allowed in preparing/running at once "
                             "(the rest wait queued)")
-    _add_token_arg(serve)
 
     submit = sub.add_parser(
         "submit",
@@ -612,25 +632,12 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 def _run_shard(args: argparse.Namespace) -> int:
     if args.role == "coordinator":
-        from repro.shard import CoordinatorTransport, parse_bind
-
-        # Cross-field and bind-spec validation that argparse types cannot
-        # express; fail as a usage error (exit 2), not a traceback.
-        try:
-            bind = parse_bind(args.bind)
-        except ValueError as exc:
-            print(f"repro-codesign shard coordinator: error: argument --bind: {exc}",
-                  file=sys.stderr)
-            return 2
-        if args.heartbeat_s >= args.lease_ttl_s:
-            print(
-                "repro-codesign shard coordinator: error: argument --heartbeat-s: "
-                f"must be below --lease-ttl-s ({args.heartbeat_s:g} >= "
-                f"{args.lease_ttl_s:g})",
-                file=sys.stderr,
-            )
-            return 2
+        from repro.shard import CoordinatorTransport
         from repro.shard.protocol import resolve_token
+
+        bind = _coordinator_bind(args, "shard coordinator")
+        if bind is None:
+            return 2
 
         transport = CoordinatorTransport(
             bind=bind,
@@ -764,20 +771,10 @@ def _run_shard_status(args: argparse.Namespace) -> int:
 
 def _run_serve(args: argparse.Namespace) -> int:
     from repro.service import ServiceCoordinator
-    from repro.shard.protocol import parse_bind, resolve_token
+    from repro.shard.protocol import resolve_token
 
-    try:
-        bind = parse_bind(args.bind)
-    except ValueError as exc:
-        print(f"repro-codesign serve: error: argument --bind: {exc}",
-              file=sys.stderr)
-        return 2
-    if args.heartbeat_s >= args.lease_ttl_s:
-        print(
-            "repro-codesign serve: error: argument --heartbeat-s: must be "
-            f"below --lease-ttl-s ({args.heartbeat_s:g} >= {args.lease_ttl_s:g})",
-            file=sys.stderr,
-        )
+    bind = _coordinator_bind(args, "serve")
+    if bind is None:
         return 2
     service = ServiceCoordinator(
         args.root,

@@ -323,7 +323,8 @@ class SCDUnit:
 
         converged = len(candidates) >= num_candidates
         if not converged:
-            logger.warning(
+            # The normal outcome of a small budget, not a fault.
+            logger.info(
                 "SCD stopped after %d iterations with %d/%d candidates",
                 iterations, len(candidates), num_candidates,
             )

@@ -201,7 +201,8 @@ class Explorer(ABC):
         iterations = self._explore(initial, num_candidates)
         converged = len(self._candidates) >= num_candidates
         if not converged:
-            logger.warning(
+            # The normal outcome of a small budget, not a fault.
+            logger.info(
                 "%s explorer stopped after %d evaluations with %d/%d candidates",
                 self.strategy_name, self._evaluations, len(self._candidates), num_candidates,
             )

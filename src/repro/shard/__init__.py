@@ -11,6 +11,12 @@ local sweep writes — so ``--resume``, :meth:`SweepResult.load`,
 identically, and the merged result's journals are byte-identical to a
 single-machine ``workers=1`` run of the same grid and seed.
 
+There is one coordinator, :class:`Coordinator`: a one-shot ``shard
+coordinator`` run attaches its grid as a single lease board that closes
+once it drains, and the job service (:mod:`repro.service`) attaches one
+board per running job to the same class.  A worker id the coordinator
+did not issue is refused; a worker re-registers once when told so.
+
 Dead or stalled workers are handled with heartbeats and lease expiry:
 an expired lease requeues its cell (bounded per-cell reassignment with
 the PR-4 retry/backoff/cost-hint machinery), and duplicate completions
@@ -38,7 +44,7 @@ Programmatically the distributed tier is one argument::
     ).run()
 """
 
-from repro.shard.coordinator import LeaseBoard, ShardCoordinator, parse_report
+from repro.shard.coordinator import Coordinator, LeaseBoard, WorkerRegistry
 from repro.shard.protocol import (
     AUTH_HEADER,
     DEFAULT_HEARTBEAT_S,
@@ -76,7 +82,6 @@ __all__ = [
     "SERVICE_TOKEN_ENV",
     "ShardProtocolError",
     "parse_bind",
-    "parse_report",
     "post_json",
     "get_json",
     "delete_json",
@@ -90,8 +95,9 @@ __all__ = [
     "failure_from_wire",
     "prepared_to_wire",
     "prepared_from_wire",
+    "Coordinator",
     "LeaseBoard",
-    "ShardCoordinator",
+    "WorkerRegistry",
     "Transport",
     "LocalTransport",
     "CoordinatorTransport",

@@ -1,7 +1,14 @@
-"""Lease-based shard coordinator: owns the grid, leases cells to workers.
+"""The lease-based HTTP coordinator: one worker fleet over attached grids.
 
-The coordinator is the *only* writer of sweep state.  It owns the task
-grid, hands cells out as bounded-lifetime **leases**, collects streamed
+A :class:`Coordinator` owns the HTTP server, the worker registry, the
+shipped preparations and the estimator-cache hub.  Work reaches it as
+:class:`LeaseBoard` s, one per sweep run: a one-shot ``shard
+coordinator`` attaches a single board and closes once it drains; the job
+service (:class:`repro.service.ServiceCoordinator`) attaches one board
+per running job and leases across them round-robin.
+
+A board is the *only* writer of its run's sweep state.  It hands cells
+out as bounded-lifetime **leases**, collects streamed
 :class:`~repro.sweep.runner.SweepOutcome` / ``SweepFailure`` records, and
 settles each cell exactly once — the settle callbacks append to the very
 same fsynced ``_checkpoint.jsonl`` the single-machine sweep writes, so a
@@ -35,6 +42,7 @@ same dispatch policy as local pools.
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -62,6 +70,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 logger = get_logger(__name__)
 
+#: Seconds a request handler waits on its socket (a request line, a body
+#: shorter than its ``Content-Length``) before it gives the thread back.
+REQUEST_TIMEOUT_S = 10.0
+
+#: The always-on lease-lifecycle counters of every board.
+LEASE_COUNTERS = ("granted", "heartbeats", "completed", "failed", "requeued",
+                  "expired", "revoked", "duplicates")
+
 
 class _Cell:
     """Coordinator-side state of one grid cell."""
@@ -86,6 +102,64 @@ class _Cell:
         self.timeout_s = timeout_s
         self.issued_leases: set[str] = set()
         self.status = "pending"  # pending | leased | settled
+
+
+class WorkerRegistry:
+    """Registered workers: name, liveness and per-worker lease counters.
+
+    A :class:`Coordinator` owns one and shares it with every board it
+    attaches; a board used on its own keeps a private one.  Ids are issued
+    here only, so an id this registry never issued is a protocol error.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._workers: dict[str, dict] = {}
+        self._seq = 0
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._workers)
+
+    def register(self, name: str) -> str:
+        with self._lock:
+            self._seq += 1
+            worker_id = f"w{self._seq}"
+            self._workers[worker_id] = {
+                "name": name, "last_seen": time.monotonic(),
+                "leased": 0, "completed": 0, "errors": 0, "busy_s": 0.0,
+            }
+        logger.info("shard: worker %s (%s) registered", worker_id, name)
+        telemetry.event("shard.worker.registered", worker=worker_id,
+                        worker_name=name)
+        return worker_id
+
+    def touch(self, worker_id: str, **counts: float) -> None:
+        """Mark ``worker_id`` alive and add ``counts`` to its counters."""
+        with self._lock:
+            worker = self._workers.get(worker_id)
+            if worker is None:
+                raise ShardProtocolError(f"unknown worker id '{worker_id}'")
+            worker["last_seen"] = time.monotonic()
+            for key, value in counts.items():
+                worker[key] += value
+
+    def stats(self) -> list[dict]:
+        """Per-worker accounting for `/v1/metrics` and `shard status`."""
+        now = time.monotonic()
+        with self._lock:
+            return [
+                {
+                    "worker_id": worker_id,
+                    "name": info["name"],
+                    "leased": info["leased"],
+                    "completed": info["completed"],
+                    "errors": info["errors"],
+                    "busy_s": round(info["busy_s"], 3),
+                    "last_seen_s": round(max(now - info["last_seen"], 0.0), 3),
+                }
+                for worker_id, info in sorted(self._workers.items())
+            ]
 
 
 class LeaseBoard:
@@ -137,17 +211,14 @@ class LeaseBoard:
         #: Leases whose worker reported back (heartbeats call them settled).
         self._reported: set[str] = set()
         self._lease_seq = 0
-        self._workers: dict[str, dict] = {}
-        self._worker_seq = 0
+        #: A coordinator replaces this with its own registry on attach.
+        self.workers = WorkerRegistry()
         self.outcomes: dict[int, SweepOutcome] = {}
         self.failures: dict[int, SweepFailure] = {}
         # Lease-lifecycle counters, always on (they are a handful of integer
         # adds under the lock the handlers hold anyway): `/v1/metrics` and
         # `repro-codesign shard status` must work without --telemetry.
-        self.metrics: dict[str, int] = {
-            "granted": 0, "heartbeats": 0, "completed": 0, "failed": 0,
-            "requeued": 0, "expired": 0, "revoked": 0, "duplicates": 0,
-        }
+        self.metrics: dict[str, int] = dict.fromkeys(LEASE_COUNTERS, 0)
 
     # ---------------------------------------------------------------- helpers
     @property
@@ -168,8 +239,7 @@ class LeaseBoard:
                 "leased": status["leased"],
                 "settled": status["settled"],
                 "failed": len(self.failures),
-                "workers": len(self._workers),
-                "done": status["settled"] == len(self._cells),
+                "workers": len(self.workers),
             }
 
     # ----------------------------------------------------------- introspection
@@ -196,51 +266,9 @@ class LeaseBoard:
         with self._lock:
             return uid in self._by_uid
 
-    def worker_stats(self) -> list[dict]:
-        """Per-worker accounting for `/v1/metrics` and `shard status`."""
-        now = time.monotonic()
-        with self._lock:
-            return [
-                {
-                    "worker_id": worker_id,
-                    "name": info["name"],
-                    "leased": info.get("leased", 0),
-                    "completed": info.get("completed", 0),
-                    "errors": info.get("errors", 0),
-                    "busy_s": round(info.get("busy_s", 0.0), 3),
-                    "last_seen_s": round(max(now - info["last_seen"], 0.0), 3),
-                }
-                for worker_id, info in sorted(self._workers.items())
-            ]
-
     # --------------------------------------------------------------- protocol
     def register(self, name: str) -> str:
-        with self._lock:
-            self._worker_seq += 1
-            worker_id = f"w{self._worker_seq}"
-            self._workers[worker_id] = {
-                "name": name, "last_seen": time.monotonic(),
-                "leased": 0, "completed": 0, "errors": 0, "busy_s": 0.0,
-            }
-            logger.info("shard: worker %s (%s) registered", worker_id, name)
-        telemetry.event("shard.worker.registered", worker=worker_id,
-                        worker_name=name, **self._job_tag())
-        return worker_id
-
-    def adopt_worker(self, worker_id: str, name: str = "worker") -> None:
-        """Insert an externally-issued worker id (idempotent).
-
-        The multi-job service registers each worker once at the service
-        level and adopts it into every job board it touches, so lease /
-        report / heartbeat accounting still works per board without the
-        worker re-registering per job.
-        """
-        with self._lock:
-            if worker_id not in self._workers:
-                self._workers[worker_id] = {
-                    "name": name, "last_seen": time.monotonic(),
-                    "leased": 0, "completed": 0, "errors": 0, "busy_s": 0.0,
-                }
+        return self.workers.register(name)
 
     def lease(self, worker_id: str, slots: int) -> list[_Cell]:
         """Lease up to ``slots`` ready cells to ``worker_id``."""
@@ -248,7 +276,7 @@ class LeaseBoard:
         self._expire_locked_leases(now)
         leased: list[_Cell] = []
         with self._lock:
-            self._touch(worker_id, now)
+            self.workers.touch(worker_id)
             while len(leased) < max(slots, 0):
                 position = next(
                     (p for p, index in enumerate(self._queue)
@@ -271,10 +299,9 @@ class LeaseBoard:
                 )
                 cell.status = "leased"
                 self.metrics["granted"] += 1
-                worker = self._workers.get(worker_id)
-                if worker is not None:
-                    worker["leased"] = worker.get("leased", 0) + 1
                 leased.append(cell)
+            if leased:
+                self.workers.touch(worker_id, leased=len(leased))
         # Telemetry events fire outside the lock: the sink fsyncs per record,
         # and handler threads must never block each other on disk.
         for cell in leased:
@@ -297,7 +324,7 @@ class LeaseBoard:
         settled: list[str] = []
         revoked: list[str] = []
         with self._lock:
-            self._touch(worker_id, now)
+            self.workers.touch(worker_id)
             self.metrics["heartbeats"] += 1
             live = {
                 cell.lease_id: cell
@@ -345,7 +372,7 @@ class LeaseBoard:
         events: list[tuple[str, dict]] = []
         now = time.monotonic()
         with self._lock:
-            self._touch(worker_id, now)
+            self.workers.touch(worker_id)
             index = self._by_uid.get(uid)
             if index is None:
                 return (False, "unknown-cell")
@@ -356,8 +383,8 @@ class LeaseBoard:
             if cell.status == "settled":
                 self.metrics["duplicates"] += 1
                 return (False, "duplicate")
-            cell.spent_s += max(float(duration_s), 0.0)
-            worker = self._workers.get(worker_id)
+            duration_s = max(float(duration_s), 0.0)
+            cell.spent_s += duration_s
             if outcome is not None:
                 outcome.attempts = cell.attempts
                 if cell.status == "pending" and index in self._queue:
@@ -368,12 +395,10 @@ class LeaseBoard:
                 self.outcomes[index] = outcome
                 settle_outcome = (index, outcome)
                 self.metrics["completed"] += 1
-                if worker is not None:
-                    worker["completed"] = worker.get("completed", 0) + 1
-                    worker["busy_s"] = worker.get("busy_s", 0.0) + max(float(duration_s), 0.0)
+                self.workers.touch(worker_id, completed=1, busy_s=duration_s)
                 events.append(("shard.cell.completed", {
                     "uid": uid, "worker": worker_id,
-                    "duration_s": round(max(float(duration_s), 0.0), 6),
+                    "duration_s": round(duration_s, 6),
                     **self._job_tag(),
                 }))
             else:
@@ -382,8 +407,7 @@ class LeaseBoard:
                     # worker holds the cell now); the stale failure must
                     # not be charged a second time.
                     return (False, "stale-lease")
-                if worker is not None:
-                    worker["errors"] = worker.get("errors", 0) + 1
+                self.workers.touch(worker_id, errors=1)
                 verdict = ("error", error or "worker reported an unspecified error")
                 settled = self._requeue_or_fail(cell, verdict, now)
                 if settled is not None:
@@ -405,12 +429,6 @@ class LeaseBoard:
     def _job_tag(self) -> dict:
         """Job label merged into telemetry events (empty for one-shot grids)."""
         return {"job": self.job} if self.job is not None else {}
-
-    def _touch(self, worker_id: str, now: float) -> None:
-        worker = self._workers.get(worker_id)
-        if worker is None:
-            raise ShardProtocolError(f"unknown worker id '{worker_id}'")
-        worker["last_seen"] = now
 
     def _requeue_or_fail(
         self, cell: _Cell, verdict: tuple[str, str], now: float
@@ -483,44 +501,18 @@ class LeaseBoard:
         return expired
 
 
-def parse_report(payload: Mapping) -> tuple[str, str, str, dict]:
-    """Validate one ``/v1/report`` body into ``LeaseBoard.report`` arguments.
+class _Handler(BaseHTTPRequestHandler):
+    """One HTTP request, served through its coordinator's route table."""
 
-    Returns ``(worker_id, lease_id, uid, kwargs)`` where ``kwargs`` carries
-    either a parsed ``outcome`` or an ``error`` string plus ``duration_s``.
-    Shared by the one-shot coordinator and the multi-job service so both
-    enforce identical wire validation.
-    """
-    worker_id = require(payload, "worker_id", str)
-    lease_id = require(payload, "lease_id", str)
-    uid = require(payload, "uid", str)
-    status = require(payload, "status", str)
-    duration_s = float(payload.get("duration_s", 0.0))
-    if status == "ok":
-        wire = require(payload, "outcome", dict)
-        try:
-            outcome = outcome_from_wire(wire)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ShardProtocolError(f"malformed outcome payload: {exc}") from exc
-        if outcome.task.uid != uid:
-            raise ShardProtocolError(
-                f"outcome uid '{outcome.task.uid}' does not match report uid '{uid}'"
-            )
-        return worker_id, lease_id, uid, {"outcome": outcome, "duration_s": duration_s}
-    if status == "error":
-        error = str(payload.get("error") or "unspecified worker error")
-        return worker_id, lease_id, uid, {"error": error, "duration_s": duration_s}
-    raise ShardProtocolError(f"unknown report status '{status}'")
+    # Set per server by Coordinator.
+    coordinator: "Coordinator"
 
-
-class _CoordinatorHandler(BaseHTTPRequestHandler):
-    """One HTTP request against the coordinator's lease board."""
-
-    # Set by ShardCoordinator when the server is built.
-    coordinator: "ShardCoordinator"
-
-    server_version = "repro-shard"
+    server_version = "repro-coordinator"
     protocol_version = "HTTP/1.1"
+
+    def setup(self) -> None:
+        self.timeout = REQUEST_TIMEOUT_S
+        super().setup()
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         logger.debug("shard http: " + format, *args)
@@ -534,8 +526,18 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b"{}"
+        declared = self.headers.get("Content-Length") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            self.close_connection = True  # where this body ends is unknown
+            raise ShardProtocolError(f"invalid Content-Length header {declared!r}")
+        length = int(declared)
+        try:
+            raw = self.rfile.read(length) if length else b"{}"
+        except TimeoutError:  # the socket timeout set in setup()
+            raw = b""
+        if len(raw) < length:
+            self.close_connection = True
+            raise ShardProtocolError("request body is shorter than its Content-Length")
         try:
             payload = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -544,45 +546,16 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
             raise ShardProtocolError("request body must be a JSON object")
         return payload
 
-    def _authorized(self) -> bool:
-        """Shared-secret gate for mutating routes; replies 401 on failure."""
-        expected = getattr(self.coordinator, "token", None)
-        if token_matches(expected, self.headers.get(AUTH_HEADER)):
-            return True
-        self._reply({"error": f"missing or invalid {AUTH_HEADER} header"},
-                    status=401)
-        return False
-
-    # Route tables — subclasses (the service coordinator's handler) extend
-    # these; a ``None`` return means "no such route" and yields a 404.
-    def _handle_get(self, route: str) -> Optional[dict]:
-        if route == "/v1/status":
-            return self.coordinator.status()
-        if route == "/v1/metrics":
-            return self.coordinator.metrics()
-        return None
-
-    def _handle_post(self, route: str, payload: dict) -> Optional[dict]:
-        if route == "/v1/register":
-            return self.coordinator.handle_register(payload)
-        if route == "/v1/lease":
-            return self.coordinator.handle_lease(payload)
-        if route == "/v1/report":
-            return self.coordinator.handle_report(payload)
-        if route == "/v1/heartbeat":
-            return self.coordinator.handle_heartbeat(payload)
-        if route == "/v1/cache/pull":
-            return self.coordinator.handle_cache_pull(payload)
-        if route == "/v1/cache/push":
-            return self.coordinator.handle_cache_push(payload)
-        return None
-
-    def _handle_delete(self, route: str) -> Optional[dict]:
-        return None
-
-    def _dispatch(self, handler: Callable[[], Optional[dict]]) -> None:
+    def _serve(self, method: str) -> None:
+        # Reads stay open; mutating routes need the shared secret.
+        if method != "GET" and not token_matches(self.coordinator.token,
+                                                 self.headers.get(AUTH_HEADER)):
+            self._reply({"error": f"missing or invalid {AUTH_HEADER} header"},
+                        status=401)
+            return
         try:
-            reply = handler()
+            payload = self._read_body() if method == "POST" else None
+            reply = self.coordinator.route(method, self.path.rstrip("/"), payload)
             if reply is None:
                 self._reply({"error": f"unknown endpoint {self.path}"}, status=404)
             else:
@@ -594,58 +567,73 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
             self._reply({"error": f"{type(exc).__name__}: {exc}"}, status=500)
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch(lambda: self._handle_get(self.path.rstrip("/")))
+        self._serve("GET")
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        if not self._authorized():
-            return
-        self._dispatch(lambda: self._handle_post(self.path.rstrip("/"),
-                                                 self._read_body()))
+        self._serve("POST")
 
     def do_DELETE(self) -> None:  # noqa: N802 - http.server API
-        if not self._authorized():
-            return
-        self._dispatch(lambda: self._handle_delete(self.path.rstrip("/")))
+        self._serve("DELETE")
 
 
-class ShardCoordinator:
-    """HTTP front-end over a :class:`LeaseBoard` plus the shipped artifacts.
+class Coordinator:
+    """The HTTP lease surface over zero or more attached :class:`LeaseBoard` s.
 
-    Constructed per run by :class:`repro.shard.CoordinatorTransport` (or
-    directly in tests).  ``serve_until_done`` owns the listening socket;
-    lease expiry is evaluated on a fixed tick *and* lazily on every lease
-    / heartbeat, so a fleet of busy workers cannot starve the reaper.
+    Boards are keyed by their ``job``: ``None`` for a one-shot grid, the
+    job uid under the service.  ``/v1/lease`` takes one cell per board per
+    pass, round-robin, so a wide job cannot starve a small one.  Lease
+    expiry runs on every lease and heartbeat and on the tick of whoever
+    drains a board (:meth:`drain`), so busy workers cannot starve the
+    reaper.
     """
+
+    #: Replies say whether they come from the multi-job service.
+    service = False
 
     def __init__(
         self,
-        board: LeaseBoard,
-        prepared: Mapping[str, PreparedTarget],
-        prep_keys: Mapping[int, Optional[str]],
         *,
-        host: str = "127.0.0.1",
-        port: int = 0,
+        bind: tuple[str, int] = ("127.0.0.1", 0),
+        token: Optional[str] = None,
+        lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
         heartbeat_s: float = DEFAULT_HEARTBEAT_S,
         poll_s: float = DEFAULT_POLL_S,
-        token: Optional[str] = None,
-        cache_dir: Optional[str] = None,
+        cache_dir=None,
     ) -> None:
-        self.board = board
-        self.prepared = dict(prepared)
-        self.prep_keys = dict(prep_keys)
+        if lease_ttl_s <= 0:
+            raise ValueError("lease_ttl_s must be positive")
+        if heartbeat_s <= 0 or heartbeat_s >= lease_ttl_s:
+            raise ValueError("heartbeat_s must be positive and below lease_ttl_s")
+        self.token = token or None
+        self.lease_ttl_s = lease_ttl_s
         self.heartbeat_s = heartbeat_s
         self.poll_s = poll_s
-        self.token = token or None
         # Estimator-cache exchange hub: workers pull this directory's records
         # in bulk after registering and push back what they compute.
         self.cache_dir = cache_dir
-        self._prepared_wire = {
-            key: prepared_to_wire(artifact) for key, artifact in self.prepared.items()
+        self.workers = WorkerRegistry()
+        self._lock = threading.Lock()
+        self._boards: dict[Optional[str], LeaseBoard] = {}  # round-robin order
+        self._prep_keys: dict[Optional[str], dict[int, Optional[str]]] = {}
+        self._prepared_wire: dict[str, dict] = {}
+        #: Counters of detached boards; ``heartbeats`` counts requests.
+        self._totals: dict[str, int] = dict.fromkeys(LEASE_COUNTERS, 0)
+        #: (method, path regex) -> handler taking the regex groups, then
+        #: the JSON body for a POST.
+        self.routes: dict[tuple[str, str], Callable[..., dict]] = {
+            ("GET", "/v1/status"): self.status,
+            ("GET", "/v1/metrics"): self.metrics,
+            ("POST", "/v1/register"): self.handle_register,
+            ("POST", "/v1/lease"): self.handle_lease,
+            ("POST", "/v1/report"): self.handle_report,
+            ("POST", "/v1/heartbeat"): self.handle_heartbeat,
+            ("POST", "/v1/cache/pull"): self.handle_cache_pull,
+            ("POST", "/v1/cache/push"): self.handle_cache_push,
         }
-        handler = type("BoundCoordinatorHandler", (_CoordinatorHandler,),
-                       {"coordinator": self})
-        self.server = ThreadingHTTPServer((host, port), handler)
+        handler = type("BoundHandler", (_Handler,), {"coordinator": self})
+        self.server = ThreadingHTTPServer(bind, handler)
         self.server.daemon_threads = True
+        self._server_thread: Optional[threading.Thread] = None
 
     # ---------------------------------------------------------------- address
     @property
@@ -657,27 +645,109 @@ class ShardCoordinator:
         host, port = self.address
         return f"http://{host}:{port}"
 
-    # --------------------------------------------------------------- handlers
-    def status(self) -> dict:
-        counts = self.board.counts()
-        counts["version"] = PROTOCOL_VERSION
-        return counts
+    # -------------------------------------------------------------- lifecycle
+    def start(self) -> None:
+        """Serve requests from a daemon thread until :meth:`stop`."""
+        self._server_thread = threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.05},
+            daemon=True, name="coordinator-http",
+        )
+        self._server_thread.start()
 
-    def metrics(self) -> dict:
-        """`/v1/metrics`: lease counters, per-worker stats, telemetry snapshot.
+    def stop(self, join_timeout_s: float = 5.0) -> None:
+        if self._server_thread is not None:
+            self.server.shutdown()
+            self._server_thread.join(timeout=join_timeout_s)
+        self.server.server_close()
 
-        The lease counters and worker stats are always on; the ``telemetry``
-        key is ``None`` unless the coordinator process runs with telemetry
-        enabled (``--telemetry`` / ``REPRO_TELEMETRY=1``).
+    # ------------------------------------------------------------------ boards
+    def attach(self, board: LeaseBoard, prepared: Mapping[str, PreparedTarget],
+               prep_keys: Mapping[int, Optional[str]]) -> None:
+        """Serve ``board``'s cells, shipping ``prepared`` by ``prep_keys``."""
+        board.workers = self.workers
+        with self._lock:
+            self._boards[board.job] = board
+            self._prep_keys[board.job] = dict(prep_keys)
+            for key, artifact in prepared.items():
+                if key not in self._prepared_wire:
+                    self._prepared_wire[key] = prepared_to_wire(artifact)
+
+    def attach_run(self, runner: "SweepRunner", order: list[int],
+                   preparations: Mapping[tuple, PreparedTarget],
+                   job: Optional[str] = None) -> LeaseBoard:
+        """Attach a board over ``runner``'s pending cells ``order``.
+
+        Retries, backoff and per-cell timeouts come from the runner, and
+        every settled cell streams into its checkpoint.
         """
-        snap = telemetry.snapshot()
-        return {
-            "version": PROTOCOL_VERSION,
-            "counts": self.board.counts(),
-            "lease_metrics": self.board.metrics_counts(),
-            "workers": self.board.worker_stats(),
-            "telemetry": snap.as_dict() if snap is not None else None,
-        }
+        board = LeaseBoard(
+            {index: runner.tasks[index] for index in order},
+            list(order),
+            retries=runner.retries,
+            backoff=runner._backoff_delay,
+            timeouts={index: runner.effective_timeout_for(index) for index in order},
+            lease_ttl_s=self.lease_ttl_s,
+            on_outcome=lambda index, outcome: runner.settle_outcome(outcome),
+            on_failure=lambda index, failure: runner.settle_failure(failure),
+            # Job-prefixed lease ids let heartbeats find their board.
+            lease_prefix="l" if job is None else f"{job}:",
+            job=job,
+        )
+        prepared: dict[str, PreparedTarget] = {}
+        prep_keys: dict[int, Optional[str]] = {}
+        for index in order:
+            artifact = preparations.get(runner.tasks[index].prep_key)
+            prep_keys[index] = None if artifact is None else artifact.wire_key
+            if artifact is not None:
+                prepared[artifact.wire_key] = artifact
+        self.attach(board, prepared, prep_keys)
+        return board
+
+    def detach(self, board: LeaseBoard) -> None:
+        """Stop serving ``board``; its counters stay in the totals."""
+        # Board locks are never taken while the coordinator lock is held.
+        counters = board.metrics_counts()
+        with self._lock:
+            if self._boards.get(board.job) is board:
+                del self._boards[board.job]
+                del self._prep_keys[board.job]
+                for key in LEASE_COUNTERS:
+                    if key != "heartbeats":
+                        self._totals[key] += counters[key]
+
+    @staticmethod
+    def drain(board: LeaseBoard, stopped: Callable[[], bool], tick_s: float) -> None:
+        """Reap expired leases every ``tick_s`` until ``board`` settles or ``stopped()``."""
+        while not board.done and not stopped():
+            board.expire_leases()
+            time.sleep(tick_s)
+
+    def _attached(self) -> dict[Optional[str], LeaseBoard]:
+        with self._lock:
+            return dict(self._boards)
+
+    @property
+    def done(self) -> bool:
+        """True once the one-shot board (the board of no job) has settled.
+
+        Every board of the service belongs to a job, so a service is never
+        done: idle workers keep polling for the next job.
+        """
+        board = self._attached().get(None)
+        return board is not None and board.done
+
+    def _job_settled(self, job: str) -> bool:
+        """Whether a lease of ``job``, whose board is gone, counts as settled."""
+        return False
+
+    # ------------------------------------------------------------------ routes
+    def route(self, method: str, path: str, payload: Optional[dict]) -> Optional[dict]:
+        """Serve one request; ``None`` when no route matches."""
+        for (verb, pattern), handler in self.routes.items():
+            match = re.fullmatch(pattern, path) if verb == method else None
+            if match is not None:
+                return handler(*match.groups(), *([payload] if method == "POST" else []))
+        return None
 
     def handle_register(self, payload: Mapping) -> dict:
         version = payload.get("version", PROTOCOL_VERSION)
@@ -685,58 +755,127 @@ class ShardCoordinator:
             raise ShardProtocolError(
                 f"worker speaks protocol v{version}, coordinator is v{PROTOCOL_VERSION}"
             )
-        name = str(payload.get("name") or "worker")
+        worker_id = self.workers.register(str(payload.get("name") or "worker"))
         return {
-            "worker_id": self.board.register(name),
-            "lease_ttl_s": self.board.lease_ttl_s,
+            "worker_id": worker_id,
+            "lease_ttl_s": self.lease_ttl_s,
             "heartbeat_s": self.heartbeat_s,
             "poll_s": self.poll_s,
-            "grid_size": self.board.counts()["cells"],
+            "grid_size": sum(b.counts()["cells"] for b in self._attached().values()),
             "cache": self.cache_dir is not None,
+            "service": self.service,
         }
 
     def handle_lease(self, payload: Mapping) -> dict:
         worker_id = require(payload, "worker_id", str)
-        slots = int(payload.get("slots", 1))
+        slots = max(int(payload.get("slots", 1)), 0)
         known = {str(key) for key in payload.get("known_preps", [])}
-        cells = self.board.lease(worker_id, slots)
+        self.workers.touch(worker_id)
+        with self._lock:
+            boards = list(self._boards.values())
+            if boards:
+                # Rotate so successive calls start with a different board
+                # even at one cell per call.
+                first = boards[0].job
+                self._boards[first] = self._boards.pop(first)
+        leased: list[tuple[LeaseBoard, _Cell]] = []
+        progress = True
+        while len(leased) < slots and progress:
+            progress = False
+            for board in boards:
+                if len(leased) >= slots:
+                    break
+                cells = board.lease(worker_id, 1)
+                if cells:
+                    leased.append((board, cells[0]))
+                    progress = True
         prepared: dict[str, dict] = {}
         wire_cells = []
-        for cell in cells:
-            prep_key = self.prep_keys.get(cell.index)
-            if prep_key is not None and prep_key not in known:
-                prepared[prep_key] = self._prepared_wire[prep_key]
-            wire_cells.append({
-                "lease_id": cell.lease_id,
-                "uid": cell.task.uid,
-                "task": task_to_wire(cell.task),
-                "prep": prep_key,
-                "timeout_s": cell.timeout_s,
-                "job": self.board.job,
-            })
+        with self._lock:
+            for board, cell in leased:
+                prep_key = self._prep_keys.get(board.job, {}).get(cell.index)
+                if prep_key is not None and prep_key not in known:
+                    prepared[prep_key] = self._prepared_wire[prep_key]
+                wire_cells.append({
+                    "lease_id": cell.lease_id,
+                    "uid": cell.task.uid,
+                    "task": task_to_wire(cell.task),
+                    "prep": prep_key,
+                    "timeout_s": cell.timeout_s,
+                    "job": board.job,
+                })
         return {
             "cells": wire_cells,
             "prepared": prepared,
-            "done": self.board.done,
+            "done": self.done,
             "retry_after_s": self.poll_s,
         }
 
     def handle_report(self, payload: Mapping) -> dict:
-        worker_id, lease_id, uid, kwargs = parse_report(payload)
-        accepted, reason = self.board.report(worker_id, lease_id, uid, **kwargs)
-        return {"accepted": accepted, "reason": reason, "done": self.board.done}
+        worker_id = require(payload, "worker_id", str)
+        lease_id = require(payload, "lease_id", str)
+        uid = require(payload, "uid", str)
+        status = require(payload, "status", str)
+        result: dict = {"duration_s": float(payload.get("duration_s", 0.0))}
+        if status == "ok":
+            try:
+                result["outcome"] = outcome_from_wire(require(payload, "outcome", dict))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ShardProtocolError(f"malformed outcome payload: {exc}") from exc
+            if result["outcome"].task.uid != uid:
+                raise ShardProtocolError(
+                    f"outcome uid '{result['outcome'].task.uid}' does not match "
+                    f"report uid '{uid}'"
+                )
+        elif status == "error":
+            result["error"] = str(payload.get("error") or "unspecified worker error")
+        else:
+            raise ShardProtocolError(f"unknown report status '{status}'")
+        self.workers.touch(worker_id)
+        job = payload.get("job")
+        boards = self._attached()
+        if isinstance(job, str) and job:
+            board = boards.get(job)
+        else:
+            # A one-shot grid's workers (and job-oblivious ones) send no job.
+            board = next((b for b in boards.values() if b.has_cell(uid)), None)
+        if board is None:
+            # A cancelled or finished job: acknowledged without acting, like
+            # a duplicate, so a cancel suppresses requeues.
+            return {"accepted": False, "reason": "unknown-job" if job else "unknown-cell",
+                    "done": self.done}
+        accepted, reason = board.report(worker_id, lease_id, uid, **result)
+        return {"accepted": accepted, "reason": reason, "done": self.done}
 
     def handle_heartbeat(self, payload: Mapping) -> dict:
         worker_id = require(payload, "worker_id", str)
         lease_ids = [str(l) for l in payload.get("lease_ids", [])]
-        settled, revoked = self.board.heartbeat(worker_id, lease_ids)
-        return {"ok": True, "settled": settled, "revoked": revoked,
-                "done": self.board.done}
+        self.workers.touch(worker_id)
+        with self._lock:
+            self._totals["heartbeats"] += 1
+            boards = dict(self._boards)
+        by_board: dict[Optional[str], list[str]] = {}
+        settled: list[str] = []
+        revoked: list[str] = []
+        for lease_id in lease_ids:
+            # "<job>:<n>" under the service; a one-shot lease has no colon.
+            job, sep, _ = lease_id.rpartition(":")
+            key = job if sep else None
+            if key in boards:
+                by_board.setdefault(key, []).append(lease_id)
+            elif self._job_settled(job):
+                settled.append(lease_id)
+            else:
+                revoked.append(lease_id)
+        for key, ids in by_board.items():
+            board_settled, board_revoked = boards[key].heartbeat(worker_id, ids)
+            settled.extend(board_settled)
+            revoked.extend(board_revoked)
+        return {"ok": True, "settled": settled, "revoked": revoked, "done": self.done}
 
-    # ------------------------------------------------------------ cache sync
     def handle_cache_pull(self, payload: Mapping) -> dict:
         """Bulk ``DiskEvaluationCache`` export so fresh workers warm-start."""
-        require(payload, "worker_id", str)
+        self.workers.touch(require(payload, "worker_id", str))
         if self.cache_dir is None:
             return {"records": [], "count": 0, "enabled": False}
         from repro.sweep.disk_cache import read_cache_records
@@ -749,7 +888,7 @@ class ShardCoordinator:
 
     def handle_cache_push(self, payload: Mapping) -> dict:
         """Merge worker-computed estimates into the coordinator's cache."""
-        require(payload, "worker_id", str)
+        self.workers.touch(require(payload, "worker_id", str))
         records = require(payload, "records", list)
         if self.cache_dir is None:
             return {"accepted": 0, "enabled": False}
@@ -760,34 +899,55 @@ class ShardCoordinator:
             telemetry.event("shard.cache.pushed", records=accepted)
         return {"accepted": accepted, "enabled": True}
 
-    # ------------------------------------------------------------------ serve
-    def serve_until_done(
-        self,
-        stop: Optional[threading.Event] = None,
-        tick_s: float = 0.25,
-        linger_s: float = 2.0,
-    ) -> None:
-        """Serve requests until every cell settled (or ``stop`` is set).
+    # -------------------------------------------------------------- dashboards
+    def lease_metrics(self) -> dict:
+        """Lease counters over every board served, attached or not."""
+        with self._lock:
+            totals = dict(self._totals)
+            boards = list(self._boards.values())
+        for board in boards:
+            for key, value in board.metrics_counts().items():
+                if key != "heartbeats":
+                    totals[key] += value
+        return totals
 
-        After the last cell settles the server lingers for ``linger_s`` so
-        polling workers observe ``done=True`` and exit cleanly instead of
-        hitting a connection refusal.
+    def _job_summaries(self) -> list[dict]:
+        """Per-job sections of the dashboards; a one-shot grid has none."""
+        return []
+
+    def _cell_counts(self, jobs: list[dict]) -> dict:
+        """Cell counts over the attached boards (``jobs`` is unused here)."""
+        totals = dict.fromkeys(("cells", "pending", "leased", "settled", "failed"), 0)
+        for board in self._attached().values():
+            counts = board.counts()
+            for key in totals:
+                totals[key] += counts[key]
+        return {**totals, "workers": len(self.workers), "done": self.done}
+
+    def status(self) -> dict:
+        """`/v1/status`: cell counts, job states, registered workers."""
+        jobs = self._job_summaries()
+        states: dict[str, int] = {}
+        for job in jobs:
+            states[job["state"]] = states.get(job["state"], 0) + 1
+        return {"version": PROTOCOL_VERSION, "service": self.service,
+                "jobs": states, **self._cell_counts(jobs)}
+
+    def metrics(self) -> dict:
+        """`/v1/metrics`: lease counters, per-worker stats, telemetry snapshot.
+
+        The lease counters and worker stats are always on; the ``telemetry``
+        key is ``None`` unless the coordinator process runs with telemetry
+        enabled (``--telemetry`` / ``REPRO_TELEMETRY=1``).
         """
-        thread = threading.Thread(target=self.server.serve_forever,
-                                  kwargs={"poll_interval": 0.05}, daemon=True)
-        thread.start()
-        try:
-            while not self.board.done:
-                if stop is not None and stop.is_set():
-                    break
-                self.board.expire_leases()
-                time.sleep(tick_s)
-            if self.board.done and linger_s > 0:
-                time.sleep(linger_s)
-        finally:
-            self.server.shutdown()
-            thread.join(timeout=5.0)
-            self.server.server_close()
-
-    def close(self) -> None:
-        self.server.server_close()
+        jobs = self._job_summaries()
+        snap = telemetry.snapshot()
+        return {
+            "version": PROTOCOL_VERSION,
+            "service": self.service,
+            "counts": self._cell_counts(jobs),
+            "lease_metrics": self.lease_metrics(),
+            "workers": self.workers.stats(),
+            "jobs": jobs,
+            "telemetry": snap.as_dict() if snap is not None else None,
+        }

@@ -42,8 +42,8 @@ unless noted):
     first settled record wins and later reports are acknowledged but
     dropped (``accepted=False, reason="duplicate"``), so a settled cell
     is never lost *or* double-counted.  ``job`` routes the report to the
-    right job's board under a service coordinator; one-shot coordinators
-    ignore it.
+    right job's board under the service; without it the report goes to
+    the board holding ``uid`` (the one board of a one-shot grid).
 
 ``/v1/heartbeat``
     ``{"worker_id", "lease_ids": [...]}`` → ``{"ok", "settled": [...],
@@ -61,8 +61,14 @@ unless noted):
     "enabled"}``.  Records use the ``DiskEvaluationCache`` JSONL shape
     verbatim (``{"namespace", "key", "estimate", "ts"}``).
 
-``/v1/status`` (GET)
-    Progress counters for dashboards and tests.
+``/v1/status`` / ``/v1/metrics`` (GET)
+    Progress and lease counters for dashboards and tests, in one shape
+    for a one-shot grid and the service (``service``; ``jobs`` is empty
+    for a one-shot grid).
+
+Every route but ``/v1/register`` names its ``worker_id``; an id the
+coordinator did not issue is refused with HTTP 400 (``unknown worker
+id``), and :class:`~repro.shard.ShardWorker` then registers once more.
 
 A service coordinator (``repro.service``) additionally serves
 ``/v1/jobs`` (POST submit / GET list), ``/v1/jobs/<uid>`` (GET status /
@@ -177,13 +183,21 @@ def prepared_from_wire(payload: Mapping) -> PreparedTarget:
 
 
 # -------------------------------------------------------------- HTTP client
-def _fetch_json(url: str, request, timeout_s: float) -> dict:
+def _request_json(method: str, base_url: str, path: str, payload: Optional[Mapping],
+                  timeout_s: float, token: Optional[str]) -> dict:
     """One request/response exchange under the shard error contract.
 
     Transport failures, non-2xx statuses and non-JSON / non-object replies
     all surface as :class:`ShardProtocolError`, so callers handle exactly
     one exception type.  ``urllib`` only — no third-party HTTP stack.
     """
+    url = base_url.rstrip("/") + path
+    headers = {AUTH_HEADER: token} if token else {}
+    data = None
+    if payload is not None:
+        headers["Content-Type"] = "application/json"
+        data = json.dumps(to_jsonable(payload)).encode("utf-8")
+    request = urllib.request.Request(url, data=data, headers=headers, method=method)
     try:
         with urllib.request.urlopen(request, timeout=timeout_s) as response:
             raw = response.read()
@@ -207,51 +221,22 @@ def _fetch_json(url: str, request, timeout_s: float) -> dict:
     return reply
 
 
-def post_json(
-    base_url: str,
-    path: str,
-    payload: Mapping,
-    timeout_s: float = 10.0,
-    token: Optional[str] = None,
-) -> dict:
+def post_json(base_url: str, path: str, payload: Mapping, timeout_s: float = 10.0,
+              token: Optional[str] = None) -> dict:
     """POST ``payload`` as JSON to ``base_url + path``; return the JSON reply."""
-    url = base_url.rstrip("/") + path
-    headers = {"Content-Type": "application/json"}
-    if token:
-        headers[AUTH_HEADER] = token
-    request = urllib.request.Request(
-        url,
-        data=json.dumps(to_jsonable(payload)).encode("utf-8"),
-        headers=headers,
-        method="POST",
-    )
-    return _fetch_json(url, request, timeout_s)
+    return _request_json("POST", base_url, path, payload, timeout_s, token)
 
 
-def get_json(
-    base_url: str,
-    path: str,
-    timeout_s: float = 10.0,
-    token: Optional[str] = None,
-) -> dict:
+def get_json(base_url: str, path: str, timeout_s: float = 10.0,
+             token: Optional[str] = None) -> dict:
     """GET ``base_url + path``; return the JSON reply (same error contract)."""
-    url = base_url.rstrip("/") + path
-    headers = {AUTH_HEADER: token} if token else {}
-    request = urllib.request.Request(url, headers=headers, method="GET")
-    return _fetch_json(url, request, timeout_s)
+    return _request_json("GET", base_url, path, None, timeout_s, token)
 
 
-def delete_json(
-    base_url: str,
-    path: str,
-    timeout_s: float = 10.0,
-    token: Optional[str] = None,
-) -> dict:
+def delete_json(base_url: str, path: str, timeout_s: float = 10.0,
+                token: Optional[str] = None) -> dict:
     """DELETE ``base_url + path``; return the JSON reply (same error contract)."""
-    url = base_url.rstrip("/") + path
-    headers = {AUTH_HEADER: token} if token else {}
-    request = urllib.request.Request(url, headers=headers, method="DELETE")
-    return _fetch_json(url, request, timeout_s)
+    return _request_json("DELETE", base_url, path, None, timeout_s, token)
 
 
 def parse_bind(spec: str, default_port: int = DEFAULT_PORT) -> tuple[str, int]:

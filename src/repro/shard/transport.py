@@ -16,18 +16,21 @@ runs.
   ``SweepRunner(transport=LocalTransport())`` is exactly
   ``SweepRunner()``.  Exists so callers can treat "local" and
   "distributed" uniformly.
-* :class:`CoordinatorTransport` — binds the lease-based HTTP coordinator
-  (:mod:`repro.shard.coordinator`) and serves the cells to remote
-  :mod:`repro.shard.worker` processes instead of forking local ones.
+* :class:`CoordinatorTransport` — binds a lease-based HTTP
+  :class:`~repro.shard.coordinator.Coordinator` for one run, attaches the
+  run's cells as its only board, and serves them to remote
+  :mod:`repro.shard.worker` processes until the board drains.  The job
+  service attaches its boards the same way to its long-lived coordinator.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Mapping, Optional
 
-from repro.shard.coordinator import LeaseBoard, ShardCoordinator
+from repro.shard.coordinator import Coordinator
 from repro.shard.protocol import (
     DEFAULT_HEARTBEAT_S,
     DEFAULT_LEASE_TTL_S,
@@ -44,6 +47,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     )
 
 logger = get_logger(__name__)
+
+#: Seconds between lease-expiry sweeps while a one-shot run drains.
+_TICK_S = 0.25
 
 
 class Transport(ABC):
@@ -105,7 +111,7 @@ class CoordinatorTransport(Transport):
         self.on_bound = on_bound
         self.token = token or None
         #: The coordinator of the in-flight run (exposed for tests/status).
-        self.coordinator: Optional[ShardCoordinator] = None
+        self.coordinator: Optional[Coordinator] = None
         #: Lease metrics / per-worker stats of the last finished run, kept
         #: after the server socket closes so the CLI can print a recap.
         self.final_counts: Optional[dict] = None
@@ -114,48 +120,33 @@ class CoordinatorTransport(Transport):
     def execute(self, runner, order, preparations):
         if not order:
             return {}, {}
-        board = LeaseBoard(
-            {index: runner.tasks[index] for index in order},
-            list(order),
-            retries=runner.retries,
-            backoff=runner._backoff_delay,
-            timeouts={index: runner.effective_timeout_for(index) for index in order},
+        coordinator = Coordinator(
+            bind=self.bind,
+            token=self.token,
             lease_ttl_s=self.lease_ttl_s,
-            on_outcome=lambda index, outcome: runner.settle_outcome(outcome),
-            on_failure=lambda index, failure: runner.settle_failure(failure),
-        )
-        prepared_by_key: dict[str, "PreparedTarget"] = {}
-        prep_keys: dict[int, Optional[str]] = {}
-        for index in order:
-            artifact = preparations.get(runner.tasks[index].prep_key)
-            if artifact is None:
-                prep_keys[index] = None
-            else:
-                prepared_by_key[artifact.wire_key] = artifact
-                prep_keys[index] = artifact.wire_key
-        coordinator = ShardCoordinator(
-            board,
-            prepared_by_key,
-            prep_keys,
-            host=self.bind[0],
-            port=self.bind[1],
             heartbeat_s=self.heartbeat_s,
             poll_s=self.poll_s,
-            token=self.token,
             # The run's cache dir doubles as the cache-exchange hub: fresh
             # workers pull it in bulk and push back what they compute.
             cache_dir=runner.cache_dir,
         )
         self.coordinator = coordinator
-        logger.info(
-            "shard: coordinator serving %d cell(s) on %s", len(order), coordinator.url
-        )
-        if self.on_bound is not None:
-            self.on_bound(coordinator)
         try:
-            coordinator.serve_until_done(stop=self.stop, linger_s=self.linger_s)
+            board = coordinator.attach_run(runner, order, preparations)
+            coordinator.start()
+            logger.info("shard: coordinator serving %d cell(s) on %s",
+                        len(order), coordinator.url)
+            if self.on_bound is not None:
+                self.on_bound(coordinator)
+            stop = self.stop
+            coordinator.drain(board, lambda: stop is not None and stop.is_set(), _TICK_S)
+            if board.done and self.linger_s > 0:
+                # Polling workers observe done=True and exit cleanly
+                # instead of hitting a connection refusal.
+                time.sleep(self.linger_s)
         finally:
-            self.final_counts = board.metrics_counts()
-            self.final_workers = board.worker_stats()
+            coordinator.stop()
+            self.final_counts = coordinator.lease_metrics()
+            self.final_workers = coordinator.workers.stats()
             self.coordinator = None
         return dict(board.outcomes), dict(board.failures)

@@ -47,7 +47,7 @@ from repro.shard.protocol import (
 )
 import repro.telemetry as telemetry
 from repro.sweep.pool import WorkerPool
-from repro.sweep.runner import PreparedTarget, SweepOutcome, run_sweep_task
+from repro.sweep.runner import PreparedTarget, SweepOutcome, SweepTask, run_sweep_task
 from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
@@ -122,6 +122,8 @@ class ShardWorker:
         self.reported_errors = 0
         self._prepared: dict[str, PreparedTarget] = {}
         self._lease_lock = threading.Lock()
+        # Reentrant: registering pulls the cache through ``_post`` again.
+        self._register_lock = threading.RLock()
         self._active_leases: set[str] = set()
         self._saw_done = threading.Event()
         self._stop = threading.Event()
@@ -132,7 +134,24 @@ class ShardWorker:
 
     # ----------------------------------------------------------------- wire io
     def _post(self, path: str, payload: dict) -> dict:
-        return post_json(self.connect, path, payload,
+        """One request; re-register once if the coordinator forgot our id.
+
+        A restarted service issues ids afresh and refuses the old one, so
+        a worker that outlives it registers again and keeps draining.
+        """
+        try:
+            return post_json(self.connect, path, payload,
+                             timeout_s=self.request_timeout_s, token=self.token)
+        except ShardProtocolError as exc:
+            if "unknown worker id" not in str(exc):
+                raise
+        with self._register_lock:
+            # The heartbeat thread and the main loop may both get here.
+            if payload.get("worker_id") == self.worker_id:
+                logger.info("shard worker %s: coordinator no longer knows this id; "
+                            "registering again", self.worker_id)
+                self._register()
+        return post_json(self.connect, path, {**payload, "worker_id": self.worker_id},
                          timeout_s=self.request_timeout_s, token=self.token)
 
     def _register(self) -> None:
@@ -342,6 +361,21 @@ class ShardWorker:
         self._idle_since = None
         self._idle_rounds = 0
 
+    def _take(self, cell: dict) -> tuple[str, SweepTask, Optional[PreparedTarget]]:
+        """Hold ``cell``'s lease (heartbeats now extend it); decode its task."""
+        lease_id = str(cell["lease_id"])
+        with self._lease_lock:
+            self._active_leases.add(lease_id)
+        return lease_id, task_from_wire(cell["task"]), self._prepared.get(cell.get("prep") or "")
+
+    def _settle(self, lease_id: str, uid: str, job: Optional[str], status: str,
+                value, duration: float) -> bool:
+        """Report one executed cell; False once the grid is done."""
+        self.executed += 1
+        return self._checked(
+            lambda: self._report(lease_id, uid, status, value, duration, job) or {}
+        ) is not None
+
     def _run_serial(self) -> int:
         try:
             while True:
@@ -357,20 +391,11 @@ class ShardWorker:
                     continue
                 self._note_work()
                 for cell in cells:
-                    lease_id = str(cell["lease_id"])
-                    uid = str(cell["uid"])
-                    job = cell.get("job")
-                    with self._lease_lock:
-                        self._active_leases.add(lease_id)
-                    task = task_from_wire(cell["task"])
-                    prepared = self._prepared.get(cell.get("prep") or "")
+                    lease_id, task, prepared = self._take(cell)
                     status, value, duration = execute_cell(
                         self.task_fn, task, self.cache_dir, prepared)
-                    self.executed += 1
-                    if self._checked(
-                        lambda lid=lease_id, u=uid, s=status, v=value, d=duration,
-                        j=job: self._report(lid, u, s, v, d, j) or {}
-                    ) is None:
+                    if not self._settle(lease_id, str(cell["uid"]), cell.get("job"),
+                                        status, value, duration):
                         return 0
         except ShardProtocolError:
             return 1
@@ -386,11 +411,7 @@ class ShardWorker:
                             return 0
                         cells = reply.get("cells") or []
                         for cell in cells:
-                            lease_id = str(cell["lease_id"])
-                            with self._lease_lock:
-                                self._active_leases.add(lease_id)
-                            task = task_from_wire(cell["task"])
-                            prepared = self._prepared.get(cell.get("prep") or "")
+                            lease_id, task, prepared = self._take(cell)
                             pool.submit(lease_id, "cell", task, self.cache_dir, prepared)
                             in_flight[lease_id] = (str(cell["uid"]), cell.get("job"))
                         if cells:
@@ -408,11 +429,7 @@ class ShardWorker:
                         telemetry.merge(metrics)
                         status, value = _checked_result(
                             "error" if status == "crash" else status, value)
-                        self.executed += 1
-                        if self._checked(
-                            lambda lid=lease_id, u=uid, s=status, v=value,
-                            d=duration, j=job: self._report(lid, u, s, v, d, j) or {}
-                        ) is None:
+                        if not self._settle(lease_id, uid, job, status, value, duration):
                             return 0
         except ShardProtocolError:
             return 1

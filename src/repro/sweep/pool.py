@@ -15,7 +15,8 @@ job's telemetry snapshot (``None`` when telemetry is off) for the parent
 to merge.  A worker that dies mid-job shows up as an EOF on its pipe and
 is reported as a ``"crash"``; :meth:`WorkerPool.kill` ends a worker whose
 job overran its deadline.  Either way only that process goes, and the
-next job that needs a slot starts a replacement.
+next job that needs a slot starts a replacement.  A worker whose parent
+dies (say, SIGKILLed) exits at once, even in the middle of a job.
 
 The worker entry point is module-level and the task function is handed
 to the process at start, so the pool works under the ``fork`` and the
@@ -26,7 +27,9 @@ picklable).
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
+import threading
 import time
 from multiprocessing import connection as mp_connection
 from typing import Callable, Hashable, Optional
@@ -40,6 +43,8 @@ def _serve(conn, task_fn: Callable) -> None:
     ``("cell", (task, cache_dir, prepared))`` runs ``task_fn``;
     ``("prep", (task,))`` runs :func:`~repro.sweep.runner.prepare_device`.
     """
+    if multiprocessing.parent_process() is not None:
+        threading.Thread(target=_exit_with_parent, daemon=True).start()
     while True:
         try:
             job = conn.recv()
@@ -68,6 +73,16 @@ def _serve(conn, task_fn: Callable) -> None:
             return  # the parent is gone
         except Exception as exc:  # unpicklable result: report instead of dying
             conn.send(("error", f"unpicklable task result: {exc!r}", None))
+
+
+def _exit_with_parent() -> None:
+    """Watch the parent; end this worker the moment it is gone.
+
+    An idle worker would notice on its pipe, but a busy one reads the pipe
+    only after its job, which may run for minutes.
+    """
+    multiprocessing.parent_process().join()
+    os._exit(1)
 
 
 def _describe(exc: BaseException) -> str:

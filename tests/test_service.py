@@ -366,6 +366,69 @@ class TestCrashRecovery:
         finally:
             revived.stop()
 
+    def test_restart_under_a_live_worker_resumes_on_that_worker(self, tmp_path):
+        """The restarted service refuses the worker's old id; the worker
+        registers again and drains the resumed job, byte-identically."""
+        from repro.sweep import run_sweep_task
+
+        spec = tiny_spec(strategies="scd,random", fps=(10.0, 15.0))
+        root = tmp_path / "root"
+        first_done = threading.Event()
+        restarted = threading.Event()
+
+        def held_after_first(task, cache_dir, prepared=None):
+            if first_done.is_set():
+                restarted.wait(60.0)  # in flight across the restart
+            outcome = run_sweep_task(task, cache_dir, prepared)
+            first_done.set()
+            return outcome
+
+        service = ServiceCoordinator(root)
+        service.start()
+        port = service.address[1]
+        uid = ServiceClient(service.url).submit(spec, name="restart")["job"]
+        checkpoint = root / "jobs" / uid / CHECKPOINT_FILENAME
+        worker = ShardWorker(service.url, cache_dir=str(tmp_path / "w"),
+                             task_fn=held_after_first, idle_timeout_s=2.0,
+                             max_connect_failures=50, reconnect_delay_s=0.1)
+        codes = []
+        thread = threading.Thread(target=lambda: codes.append(worker.run()),
+                                  daemon=True)
+        thread.start()
+        assert wait_for(lambda: len(journal_map(checkpoint)) == 1)
+        first_id = worker.worker_id
+        service.stop()
+
+        revived = ServiceCoordinator(root, bind=("127.0.0.1", port))
+        revived.start()
+        restarted.set()
+        try:
+            summary = ServiceClient(revived.url).wait(uid, timeout_s=90)
+            assert summary["state"] == "done"
+            thread.join(timeout=60.0)
+            assert codes == [0]
+            stats = revived.workers.stats()
+            assert [w["name"] for w in stats] == [worker.name]
+            assert stats[0]["completed"] == len(spec.build_tasks()) - 1
+            assert first_id is not None and worker.worker_id == stats[0]["worker_id"]
+        finally:
+            revived.stop()
+        assert journal_map(checkpoint) == local_journal_map(spec, tmp_path)
+
+    def test_unknown_worker_id_is_refused(self, tmp_path):
+        service = ServiceCoordinator(tmp_path / "root")
+        service.start()
+        try:
+            stranger = {"worker_id": "w77", "slots": 1, "lease_id": "j0001:1",
+                        "uid": "u", "status": "error", "records": []}
+            for route in ("/v1/lease", "/v1/heartbeat", "/v1/report",
+                          "/v1/cache/pull", "/v1/cache/push"):
+                with pytest.raises(ShardProtocolError, match="HTTP 400.*unknown worker"):
+                    post_json(service.url, route, stranger)
+            assert get_json(service.url, "/v1/status")["workers"] == 0
+        finally:
+            service.stop()
+
     def test_stop_before_admission_keeps_job_queued(self, tmp_path):
         root = tmp_path / "root"
         service = ServiceCoordinator(root, max_active=1)
@@ -436,6 +499,31 @@ class TestInterleavingDeterminism:
             assert interleaved == alone
 
 
+# ------------------------------------------------------ one coordinator shape
+def test_one_shot_and_service_dashboards_share_their_keys(tmp_path):
+    from repro.shard import Coordinator, LeaseBoard
+    from repro.sweep import build_grid
+
+    task = build_grid("pynq-z1", "scd", [10.0], **TINY)[0]
+    one_shot = Coordinator()
+    one_shot.attach(LeaseBoard({0: task}, [0]), {}, {0: None})
+    service = ServiceCoordinator(tmp_path / "root")
+    for coordinator in (one_shot, service):
+        coordinator.start()
+    try:
+        ServiceClient(service.url).submit(tiny_spec())
+        for route in ("/v1/status", "/v1/metrics"):
+            plain, served = get_json(one_shot.url, route), get_json(service.url, route)
+            assert plain.keys() == served.keys(), route
+            assert (plain["service"], served["service"]) == (False, True)
+            assert not plain["jobs"] and served["jobs"]
+        assert get_json(one_shot.url, "/v1/metrics")["counts"].keys() == \
+            get_json(service.url, "/v1/metrics")["counts"].keys()
+    finally:
+        for coordinator in (one_shot, service):
+            coordinator.stop()
+
+
 # --------------------------------------------------------- lease board units
 class TestLeaseBoardServiceHooks:
     def _board(self, **kwargs):
@@ -447,16 +535,7 @@ class TestLeaseBoardServiceHooks:
 
     def test_lease_prefix_namespaces_lease_ids(self):
         board = self._board(lease_prefix="j0001:", job="j0001")
-        board.adopt_worker("w1")
-        cells = board.lease("w1", 1)
+        worker = board.register("a")
+        cells = board.lease(worker, 1)
         assert cells[0].lease_id.startswith("j0001:")
         assert cells[0].lease_id.rpartition(":")[0] == "j0001"
-
-    def test_adopt_worker_is_idempotent_and_enables_leasing(self):
-        board = self._board()
-        with pytest.raises(ShardProtocolError, match="unknown worker"):
-            board.lease("ghost", 1)
-        board.adopt_worker("ghost", "revenant")
-        board.adopt_worker("ghost", "other-name")  # no-op, keeps the first
-        assert board.lease("ghost", 1)
-        assert board.worker_stats()[0]["name"] == "revenant"

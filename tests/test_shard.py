@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 
@@ -11,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw.device import get_device
+from repro.shard import coordinator as coordinator_module
 from repro.shard import (
     PROTOCOL_VERSION,
+    Coordinator,
     CoordinatorTransport,
     LeaseBoard,
-    ShardCoordinator,
     ShardProtocolError,
     ShardWorker,
     get_json,
@@ -335,15 +337,12 @@ class TestLeaseBoard:
 
 
 # ------------------------------------------------------------- HTTP coordinator
-def serve(coordinator, **kwargs):
-    stop = threading.Event()
-    thread = threading.Thread(
-        target=coordinator.serve_until_done,
-        kwargs={"stop": stop, "tick_s": 0.05, "linger_s": 0.2, **kwargs},
-        daemon=True,
-    )
-    thread.start()
-    return stop, thread
+def serve(board, prepared=None, prep_keys=None):
+    """A started coordinator serving ``board`` as a one-shot grid."""
+    coordinator = Coordinator()
+    coordinator.attach(board, prepared or {}, prep_keys or {0: None})
+    coordinator.start()
+    return coordinator
 
 
 class TestCoordinatorHTTP:
@@ -351,9 +350,8 @@ class TestCoordinatorHTTP:
         tasks = build_grid("pynq-z1", "scd", [40.0], **TINY)
         board = make_board(tasks)
         prepared = prepare_device(tasks[0])
-        coordinator = ShardCoordinator(
-            board, {prepared.wire_key: prepared}, {0: prepared.wire_key}, port=0)
-        stop, thread = serve(coordinator)
+        coordinator = serve(board, {prepared.wire_key: prepared},
+                            {0: prepared.wire_key})
         try:
             url = coordinator.url
             registration = post_json(url, "/v1/register",
@@ -392,13 +390,11 @@ class TestCoordinatorHTTP:
             status = get_json(url, "/v1/status")
             assert status["settled"] == 1 and status["done"]
         finally:
-            stop.set()
-            thread.join(timeout=10.0)
+            coordinator.stop()
 
     def test_malformed_requests_rejected_not_fatal(self):
         tasks = build_grid("pynq-z1", "scd", [40.0], **TINY)
-        coordinator = ShardCoordinator(make_board(tasks), {}, {0: None}, port=0)
-        stop, thread = serve(coordinator)
+        coordinator = serve(make_board(tasks))
         try:
             url = coordinator.url
             with pytest.raises(ShardProtocolError, match="missing required field"):
@@ -415,8 +411,49 @@ class TestCoordinatorHTTP:
             # The server survived all of it.
             assert get_json(url, "/v1/status")["cells"] == 1
         finally:
-            stop.set()
-            thread.join(timeout=10.0)
+            coordinator.stop()
+
+
+def raw_post(url, content_length, body, *, timeout_s=10.0):
+    """POST ``body`` with a hand-written ``Content-Length``; the raw reply."""
+    host, port = url.rsplit("/", 1)[1].split(":")
+    with socket.create_connection((host, int(port)), timeout=timeout_s) as sock:
+        sock.sendall(
+            f"POST /v1/lease HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {content_length}\r\n"
+            f"Connection: close\r\n\r\n".encode("ascii") + body
+        )
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    return reply
+
+
+class TestContentLength:
+    @pytest.mark.parametrize("declared", ["abc", "-5"])
+    def test_malformed_length_is_a_400(self, declared):
+        coordinator = serve(make_board(build_grid("pynq-z1", "scd", [40.0], **TINY)))
+        try:
+            reply = raw_post(coordinator.url, declared, b"{}")
+            assert reply.startswith(b"HTTP/1.1 400"), reply[:80]
+            assert b"invalid Content-Length" in reply
+        finally:
+            coordinator.stop()
+
+    def test_short_body_releases_its_handler(self, monkeypatch):
+        monkeypatch.setattr(coordinator_module, "REQUEST_TIMEOUT_S", 0.3)
+        coordinator = serve(make_board(build_grid("pynq-z1", "scd", [40.0], **TINY)))
+        try:
+            started = time.monotonic()
+            # The client keeps its socket open: only the handler's own
+            # timeout can end the wait for the 90 missing bytes.
+            reply = raw_post(coordinator.url, "100", b'{"slots": 1}')
+            assert time.monotonic() - started < 5.0
+            assert reply.startswith(b"HTTP/1.1 400"), reply[:80]
+            assert b"shorter than its Content-Length" in reply
+            assert get_json(coordinator.url, "/v1/status")["cells"] == 1
+        finally:
+            coordinator.stop()
 
 
 # -------------------------------------------------------------------- end to end

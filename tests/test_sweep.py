@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 
 import pytest
 
@@ -331,6 +332,19 @@ class TestSweepRunner:
         assert payload["workers"] == 1
         assert len(payload["outcomes"]) == 1
         assert payload["outcomes"][0]["journal"]["records"]
+
+    def test_short_budget_logs_no_warning(self, caplog):
+        """Cells that stop with fewer candidates than asked are the normal
+        outcome of a small budget: a healthy sweep logs no warning."""
+        tasks = build_grid("pynq-z1", "scd,random", [40.0], tolerance_ms=10.0,
+                           iterations=3, num_candidates=5, top_bundles=2, seed=1)
+        with caplog.at_level(logging.INFO, logger="repro"):
+            result = SweepRunner(tasks, workers=1).run()
+        assert result.ok
+        assert any("stopped after" in r.getMessage() for r in caplog.records), \
+            "the budget must stop short for this test to mean anything"
+        assert [r.getMessage() for r in caplog.records
+                if r.name.startswith("repro") and r.levelno >= logging.WARNING] == []
 
     def test_invalid_arguments(self):
         tasks = build_grid("pynq-z1", "scd", [40.0], **TINY)

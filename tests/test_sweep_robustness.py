@@ -14,6 +14,8 @@ import logging
 import multiprocessing
 import multiprocessing.util
 import os
+import signal
+import subprocess
 import sys
 import time
 
@@ -99,6 +101,30 @@ def _alive(pid: int) -> bool:
     except ProcessLookupError:
         return False
     return True
+
+
+def _running(pid: int) -> bool:
+    """``_alive`` that counts an unreaped zombie as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return not os.path.isdir("/proc") and _alive(pid)
+
+
+#: Owns a 1-slot pool whose only cell prints its pid, then sleeps.
+_POOL_OWNER = """
+import os, time
+from repro.sweep.pool import WorkerPool
+
+def cell(seconds):
+    print(os.getpid(), flush=True)
+    time.sleep(seconds)
+
+pool = WorkerPool(cell, 1)
+pool.submit("cell", "cell", 60.0)
+time.sleep(60.0)
+"""
 
 
 def _dying_once_task(task, cache_dir, prepared):
@@ -298,6 +324,29 @@ class TestWorkerPool:
         grid = build_grid("pynq-z1", "scd,random", [40.0], **TINY)
         with pytest.raises(ValueError, match="no fit for PYNQ-Z1"):
             SweepRunner(grid, workers=workers).run()
+
+    def test_busy_worker_dies_with_its_killed_parent(self):
+        src = os.path.abspath(pool_module.__file__).rsplit(os.sep, 3)[0]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])}
+        owner = subprocess.Popen([sys.executable, "-c", _POOL_OWNER], env=env,
+                                 stdout=subprocess.PIPE, text=True)
+        worker_pid = None
+        try:
+            worker_pid = int(owner.stdout.readline())
+            owner.send_signal(signal.SIGKILL)
+            owner.wait(timeout=10.0)
+            deadline = time.monotonic() + 5.0
+            while _running(worker_pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _running(worker_pid), "the busy worker outlived its parent"
+        finally:
+            if owner.poll() is None:
+                owner.kill()
+                owner.wait()
+            owner.stdout.close()
+            if worker_pid is not None and _running(worker_pid):
+                os.kill(worker_pid, signal.SIGKILL)
 
     def test_spawn_start_method(self, tmp_path, monkeypatch):
         spawn = multiprocessing.get_context("spawn")

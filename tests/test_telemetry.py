@@ -16,7 +16,6 @@ import json
 import os
 import pickle
 import tempfile
-import threading
 import time
 
 import pytest
@@ -24,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.shard import PROTOCOL_VERSION, LeaseBoard, ShardCoordinator, get_json, post_json
+from repro.shard import PROTOCOL_VERSION, Coordinator, LeaseBoard, get_json, post_json
 from repro.sweep import SweepRunner, build_grid, prepare_device
 from repro.sweep.checkpoint import (
     CHECKPOINT_FILENAME,
@@ -408,7 +407,7 @@ class TestLeaseMetrics:
             "granted": 3, "heartbeats": 1, "completed": 1, "failed": 1,
             "requeued": 1, "expired": 0, "revoked": 0, "duplicates": 1,
         }
-        stats = board.worker_stats()
+        stats = board.workers.stats()
         assert len(stats) == 1
         assert stats[0]["name"] == "a"
         assert stats[0]["leased"] == 3
@@ -443,25 +442,14 @@ class TestLeaseMetrics:
 
 
 # -------------------------------------------------------- coordinator metrics
-def serve(coordinator, **kwargs):
-    stop = threading.Event()
-    thread = threading.Thread(
-        target=coordinator.serve_until_done,
-        kwargs={"stop": stop, "tick_s": 0.05, "linger_s": 0.2, **kwargs},
-        daemon=True,
-    )
-    thread.start()
-    return stop, thread
-
-
 class TestCoordinatorMetricsEndpoint:
     def test_v1_metrics_scrape_mid_run(self):
         tasks = build_grid("pynq-z1", "scd", [40.0], **TINY)
         board = make_board(tasks)
         prepared = prepare_device(tasks[0])
-        coordinator = ShardCoordinator(
-            board, {prepared.wire_key: prepared}, {0: prepared.wire_key}, port=0)
-        stop, thread = serve(coordinator)
+        coordinator = Coordinator()
+        coordinator.attach(board, {prepared.wire_key: prepared}, {0: prepared.wire_key})
+        coordinator.start()
         try:
             url = coordinator.url
             registration = post_json(url, "/v1/register",
@@ -492,15 +480,18 @@ class TestCoordinatorMetricsEndpoint:
             assert payload["lease_metrics"]["completed"] == 1
             assert payload["workers"][0]["completed"] == 1
         finally:
-            stop.set()
-            thread.join(timeout=10.0)
+            coordinator.stop()
 
     def test_metrics_payload_embeds_snapshot_when_enabled(self):
         tasks = build_grid("pynq-z1", "scd", [40.0], **TINY)
-        coordinator = ShardCoordinator(make_board(tasks), {}, {0: None}, port=0)
+        coordinator = Coordinator()
+        coordinator.attach(make_board(tasks), {}, {0: None})
         telemetry.enable(fresh=True)
         telemetry.registry().counter("c").inc()
-        payload = coordinator.metrics()
+        try:
+            payload = coordinator.metrics()
+        finally:
+            coordinator.stop()
         assert payload["telemetry"]["counters"]["c"] == 1
         snap = MetricsSnapshot.from_dict(json.loads(json.dumps(payload["telemetry"])))
         assert snap.counters == {"c": 1}
